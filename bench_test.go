@@ -390,7 +390,7 @@ func BenchmarkBatchOverWire(b *testing.B) {
 	}
 	session := engine.Session()
 	session.PriceSamples = 30
-	srv := NewServer(WithWorkers(8))
+	srv := NewServer()
 	if err := srv.Register("titanic", engine); err != nil {
 		b.Fatal(err)
 	}

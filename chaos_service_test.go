@@ -12,7 +12,7 @@ package vflmarket
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -364,8 +364,9 @@ func TestChaosCircuitBreakerTripsAndRecovers(t *testing.T) {
 }
 
 // TestChaosWatchdogSeversStalledSession defeats the per-read IO deadline
-// the way a wedged-but-alive peer does — one whitespace byte at a time,
-// each read succeeding, no envelope ever completing — and asserts the
+// the way a wedged-but-alive peer does — one whitespace byte at a time
+// into an open frame, each read succeeding, no envelope ever completing —
+// and asserts the
 // watchdog severs the session within its budget and counts it as a
 // watchdog kill, not a dropped transport or a failed session.
 func TestChaosWatchdogSeversStalledSession(t *testing.T) {
@@ -378,24 +379,27 @@ func TestChaosWatchdogSeversStalledSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "VFLM/6 json\n")
-	fmt.Fprintf(conn, `{"Kind":5,"Client":{"Version":6,"Market":"titanic"}}`+"\n")
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	var hello wire.Envelope
-	if err := json.NewDecoder(conn).Decode(&hello); err != nil {
+	mc, _, err := wire.OpenMux(conn, wire.CodecJSON, wire.ClientHello{Market: "titanic", ListOnly: true}, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+	if _, _, err := mc.Open(context.Background(), wire.ClientHello{Market: "titanic"}, 5*time.Second); err != nil {
 		t.Fatalf("no hello: %v", err)
 	}
-	if hello.Kind != wire.KindHello {
-		t.Fatalf("handshake answered %+v, want a Hello", hello)
-	}
 
-	// Trickle valid JSON whitespace: every server read succeeds inside its
-	// 2s deadline, but no envelope ever arrives. Only the watchdog can end
-	// this session. The write loop runs until the server's sever surfaces
-	// as a write error (or a generous timeout trips the test).
+	// Open a frame and trickle valid JSON whitespace into it: every server
+	// read succeeds inside its 2s deadline, but no envelope ever arrives.
+	// Only the watchdog can end this session. The write loop runs until
+	// the watchdog's sever shows in the metrics (or a generous timeout
+	// trips the test).
+	var head [4]byte
+	binary.BigEndian.PutUint32(head[:], 1<<10)
+	if _, err := conn.Write(head[:]); err != nil {
+		t.Fatal(err)
+	}
 	start := time.Now()
-	for time.Since(start) < 5*time.Second {
+	for time.Since(start) < 5*time.Second && srv.Metrics().Watchdog == 0 {
 		if _, err := conn.Write([]byte(" ")); err != nil {
 			break
 		}

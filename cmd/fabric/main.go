@@ -7,11 +7,11 @@
 //
 //	go run ./cmd/fabric -shards 3 -markets titanic,credit,adult
 //	    [-model forest] [-scale 0.5] [-seed 1] [-synthetic=true]
-//	    [-workers 0] [-timeout 30s] [-state DIR] [-rebalance 30s]
+//	    [-max-sessions 0] [-timeout 30s] [-state DIR] [-rebalance 30s]
 //
 // Each market is registered on the shard the registry assigns it; clients
 // may dial ANY shard address — a hello for a market served elsewhere is
-// answered with a protocol-v5 redirect the client follows transparently.
+// answered with a redirect the client follows transparently.
 // With -rebalance, the fleet polls its own per-shard stats over the wire
 // on that interval and migrates at most one market per pass off the
 // hottest shard; in-flight sessions on a migrated market are severed and
@@ -43,7 +43,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "engine seed")
 	scale := flag.Float64("scale", 0.5, "profile scale in (0,1]")
 	synthetic := flag.Bool("synthetic", true, "use synthetic gains (fast startup)")
-	workers := flag.Int("workers", 0, "max concurrent sessions per shard (0 = GOMAXPROCS)")
+	maxSessions := flag.Int("max-sessions", 0, "max concurrently open sessions per client connection (0 = GOMAXPROCS+128)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-read/write IO deadline")
 	idle := flag.Duration("idletimeout", 0, "close idle multiplexed connections after this long (0 = 4x -timeout, negative = never)")
 	stateDir := flag.String("state", "", "fleet state root (each shard persists under DIR/shard-N; empty = memory-only)")
@@ -64,7 +64,7 @@ func main() {
 		})
 	}
 	cluster, err := vflmarket.NewCluster(*shards, *stateDir, factory,
-		vflmarket.WithWorkers(*workers),
+		vflmarket.WithMaxSessions(*maxSessions),
 		vflmarket.WithIOTimeout(*timeout),
 		vflmarket.WithIdleTimeout(*idle),
 	)

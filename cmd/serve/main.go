@@ -1,12 +1,12 @@
 // Command serve runs the multi-market bargaining service: one listener
-// serving any number of named market engines, with a bounded session
-// worker pool, per-connection IO deadlines, optional Paillier settlement,
-// and graceful Ctrl-C shutdown.
+// serving any number of named market engines, with a per-connection
+// session cap, per-session IO deadlines, optional Paillier settlement, and
+// graceful Ctrl-C shutdown.
 //
 // Usage:
 //
 //	go run ./cmd/serve -addr :7070 -markets titanic,credit [-synthetic=false]
-//	    [-model forest] [-scale 0.5] [-seed 1] [-workers 0] [-secure]
+//	    [-model forest] [-scale 0.5] [-seed 1] [-max-sessions 0] [-secure]
 //	    [-keybits 256] [-timeout 30s] [-state DIR] [-v]
 //
 // With -state, the service is durable: valuation memos, per-client
@@ -43,7 +43,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "engine seed")
 	scale := flag.Float64("scale", 0.5, "profile scale in (0,1]")
 	synthetic := flag.Bool("synthetic", true, "use synthetic gains (fast startup)")
-	workers := flag.Int("workers", 0, "max concurrent sessions (0 = GOMAXPROCS)")
+	maxSessions := flag.Int("max-sessions", 0, "max concurrently open sessions per client connection (0 = GOMAXPROCS+128)")
 	secure := flag.Bool("secure", false, "settle under Paillier encryption (§3.6)")
 	keyBits := flag.Int("keybits", 256, "Paillier prime bits with -secure (production wants 1536+)")
 	noisePool := flag.Int("noisepool", 0, "per-market pool of precomputed Paillier randomizers with -secure (0 = default)")
@@ -58,7 +58,7 @@ func main() {
 	defer stop()
 
 	opts := []vflmarket.ServerOption{
-		vflmarket.WithWorkers(*workers),
+		vflmarket.WithMaxSessions(*maxSessions),
 		vflmarket.WithIOTimeout(*timeout),
 		vflmarket.WithIdleTimeout(*idle),
 	}

@@ -158,7 +158,7 @@ func TestServiceImperfectCancelMidExploration(t *testing.T) {
 
 // TestServiceImperfectStalledPeer wedges a hand-rolled client mid-
 // exploration: the server's IO deadline must end the session with an
-// ErrPeerTimeout-wrapped error instead of pinning a worker forever.
+// ErrPeerTimeout-wrapped error instead of pinning its stream forever.
 func TestServiceImperfectStalledPeer(t *testing.T) {
 	engines := testEngines(t)
 	events := make(chan SessionEvent, 8)
@@ -172,16 +172,20 @@ func TestServiceImperfectStalledPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
+	mc, _, err := wire.OpenMux(conn, wire.CodecGob, wire.ClientHello{Market: "titanic", ListOnly: true}, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
 	tmpl := engines["titanic"].SessionImperfect()
-	codec, hello, err := wire.ClientHandshake(conn, wire.CodecGob, wire.ClientHello{
+	codec, hello, err := mc.Open(context.Background(), wire.ClientHello{
 		Market: "titanic",
 		Mode:   wire.ModeImperfect,
 		Imperfect: &wire.ImperfectHello{
 			Seed: 3, Target: tmpl.TargetGain,
 			ExplorationRounds: imperfectTestParams.ExplorationRounds,
 		},
-	})
+	}, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +210,7 @@ func TestServiceImperfectStalledPeer(t *testing.T) {
 		select {
 		case ev := <-events:
 			if ev.Summary == nil && ev.Err == nil {
-				continue // the Dial-free handshake has no listing event; skip others
+				continue // the connection hello's listing event; skip it
 			}
 			if ev.Err == nil {
 				continue
@@ -233,20 +237,37 @@ func TestServiceImperfectMalformedGainEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mc, _, err := wire.OpenMux(conn, wire.CodecJSON, wire.ClientHello{Market: "titanic", ListOnly: true}, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tmpl := engines["titanic"].SessionImperfect()
-	fmt.Fprintf(conn, "VFLM/3 json\n")
-	fmt.Fprintf(conn, `{"Kind":5,"Client":{"Version":3,"Market":"titanic","Mode":"imperfect","Imperfect":{"Seed":3,"Target":%g,"ExplorationRounds":30}}}`+"\n", tmpl.TargetGain)
-	// Quote → Offer, then a well-framed Settle with no payload in the
-	// settlement slot (the "realized gain" that never arrives).
-	fmt.Fprintf(conn, `{"Kind":2,"Quote":{"Round":1,"Rate":%g,"Base":%g,"High":%g,"U":%g,"Target":%g}}`+"\n",
-		tmpl.InitRate, tmpl.InitBase, tmpl.InitBase+tmpl.InitRate*tmpl.TargetGain, tmpl.U, tmpl.TargetGain)
-	fmt.Fprintf(conn, `{"Kind":4}`+"\n")
-	buf := make([]byte, 1<<16)
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn.Read(buf); err != nil { // the Hello
+	st, _, err := mc.Open(context.Background(), wire.ClientHello{
+		Market: "titanic", Mode: wire.ModeImperfect,
+		Imperfect: &wire.ImperfectHello{Seed: 3, Target: tmpl.TargetGain, ExplorationRounds: 30},
+	}, 5*time.Second)
+	if err != nil { // the Hello
 		t.Fatalf("no hello: %v", err)
 	}
-	conn.Close()
+	// Quote → Offer, then a well-framed Settle with no payload in the
+	// settlement slot (the "realized gain" that never arrives).
+	if err := st.Send(&wire.Envelope{Kind: wire.KindQuote, Quote: &wire.Quote{
+		Round: 1, Rate: tmpl.InitRate, Base: tmpl.InitBase,
+		High: tmpl.InitBase + tmpl.InitRate*tmpl.TargetGain,
+		U:    tmpl.U, Target: tmpl.TargetGain,
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Recv(); err != nil { // the Offer
+		t.Fatal(err)
+	}
+	if err := st.Send(&wire.Envelope{Kind: wire.KindSettle}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
 
 	// A healthy imperfect client still gets served.
 	engine := engines["titanic"]

@@ -7,17 +7,18 @@ import (
 	"time"
 )
 
-// FetchStats performs the v5 admin exchange on a fresh connection: the
-// preamble, a StatsOnly hello, and the server's KindStats answer. It is
-// the over-the-wire metrics read the fabric rebalancer and the cluster
-// health prober consume in place of in-process Server.Metrics calls.
+// FetchStats performs the admin exchange on a fresh connection: the
+// preamble, a connection-level StatsOnly hello, and the server's KindStats
+// answer. It is the over-the-wire metrics read the fabric rebalancer and
+// the cluster health prober consume in place of in-process Server.Metrics
+// calls.
 //
-// The per-attempt IO deadline is derived from ctx: the effective timeout
-// is the smaller of ioTimeout and the time remaining until ctx's
-// deadline, so a probe against a stalled shard returns when the caller's
-// budget expires instead of inheriting the raw connection deadline.
-// Cancelling ctx severs the connection immediately. The caller owns the
-// connection; ioTimeout <= 0 with no ctx deadline means no deadline.
+// The exchange's deadline is derived from ctx: the effective timeout is
+// the smaller of ioTimeout and the time remaining until ctx's deadline, so
+// a probe against a stalled shard returns when the caller's budget expires
+// instead of inheriting the raw connection deadline. Cancelling ctx severs
+// the connection immediately. The caller owns the connection; ioTimeout
+// <= 0 with no ctx deadline means no deadline.
 func FetchStats(ctx context.Context, conn net.Conn, codecName string, ioTimeout time.Duration) (*StatsReport, error) {
 	if dl, ok := ctx.Deadline(); ok {
 		if remain := time.Until(dl); ioTimeout <= 0 || remain < ioTimeout {
@@ -29,25 +30,18 @@ func FetchStats(ctx context.Context, conn net.Conn, codecName string, ioTimeout 
 	}
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
-	tconn := WithIOTimeout(conn, ioTimeout)
-	if err := WriteHandshake(tconn, codecName); err != nil {
-		return nil, err
+	if ioTimeout > 0 {
+		if err := conn.SetDeadline(time.Now().Add(ioTimeout)); err != nil {
+			return nil, err
+		}
 	}
-	c, err := NewCodec(codecName, tconn, tconn)
-	if err != nil {
-		return nil, err
-	}
-	l := link{c}
-	hello := ClientHello{Version: ProtocolVersion, StatsOnly: true}
-	if err := l.send(&Envelope{Kind: KindClientHello, Client: &hello}); err != nil {
-		return nil, err
-	}
-	e, err := l.recv(KindStats)
+	fc, e, err := openFramed(conn, codecName, ClientHello{StatsOnly: true}, KindStats)
 	if err != nil {
 		if ctx.Err() != nil {
 			err = ctx.Err()
 		}
 		return nil, fmt.Errorf("wire: fetch stats: %w", err)
 	}
+	fc.release()
 	return e.Stats, nil
 }

@@ -9,12 +9,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"syscall"
-	"time"
 )
 
-// Codec names accepted in the v2 handshake preamble.
+// Codec names accepted in the handshake preamble.
 const (
 	CodecGob  = "gob"  // Go-native, compact (the default)
 	CodecJSON = "json" // newline-delimited JSON, for non-Go task parties
@@ -31,9 +31,9 @@ var ErrPeerTimeout = errors.New("wire: peer timed out")
 // the same session will fail the same way.
 var ErrRejected = errors.New("wire: peer rejected the session")
 
-// ErrServerBusy marks a connection the server refused with a KindBusy
-// envelope: its session pool is saturated. Unlike ErrRejected, retrying
-// after a backoff is reasonable.
+// ErrServerBusy marks a session the server refused with a KindBusy
+// envelope: the connection's session cap is reached, or the market is
+// migrating. Unlike ErrRejected, retrying after a backoff is reasonable.
 var ErrServerBusy = errors.New("wire: server busy")
 
 // ErrRedirected marks a connection the server answered with a KindRedirect
@@ -69,9 +69,10 @@ type Codec interface {
 	Recv() (*Envelope, error)
 }
 
-// NewCodec builds the named codec over a reader/writer pair (usually the
-// two ends of one net.Conn, with the reader possibly buffered by the
-// handshake).
+// NewCodec builds the named unframed codec over a reader/writer pair: one
+// encoder and one decoder over the whole stream, writing through. Servers
+// answer a retired preamble in it; tests play sessions over it on
+// net.Pipe.
 func NewCodec(name string, r io.Reader, w io.Writer) (Codec, error) {
 	switch name {
 	case CodecGob:
@@ -124,13 +125,6 @@ func (c *jsonCodec) Recv() (*Envelope, error) {
 // peer-error unwrapping, and timeout classification.
 type link struct {
 	c Codec
-}
-
-// newCodec builds the legacy v1 link over a connection: gob framing, no
-// handshake.
-func newCodec(conn net.Conn) link {
-	c, _ := NewCodec(CodecGob, conn, conn)
-	return link{c: c}
 }
 
 func (l link) send(e *Envelope) error {
@@ -241,73 +235,23 @@ func IsTransportError(err error) bool {
 	return errors.As(err, &ne)
 }
 
-// deadlineConn arms a read/write deadline before every conn operation, so
-// a stalled or vanished peer surfaces as a net.Error timeout instead of a
-// hung session.
-type deadlineConn struct {
-	net.Conn
-	d time.Duration
-}
-
-func (c deadlineConn) Read(p []byte) (int, error) {
-	if err := c.Conn.SetReadDeadline(time.Now().Add(c.d)); err != nil {
-		return 0, err
-	}
-	return c.Conn.Read(p)
-}
-
-func (c deadlineConn) Write(p []byte) (int, error) {
-	if err := c.Conn.SetWriteDeadline(time.Now().Add(c.d)); err != nil {
-		return 0, err
-	}
-	return c.Conn.Write(p)
-}
-
-// WithIOTimeout wraps the connection so every read and write must make
-// progress within d, surfacing stalls as net.Error timeouts (classified as
-// ErrPeerTimeout by the protocol endpoints). d <= 0 returns the connection
-// unchanged.
-func WithIOTimeout(conn net.Conn, d time.Duration) net.Conn {
-	if d <= 0 {
-		return conn
-	}
-	return deadlineConn{Conn: conn, d: d}
-}
-
-// handshakeMagic opens every v6 connection, followed by the codec name, an
-// optional "mux" token (the v6 multiplexed-framing upgrade), and a newline.
-// Servers also accept the v5, v4, v3 and v2 spellings from older clients.
-const (
-	handshakeMagic   = "VFLM/6"
-	handshakeMagicV5 = "VFLM/5"
-	handshakeMagicV4 = "VFLM/4"
-	handshakeMagicV3 = "VFLM/3"
-	handshakeMagicV2 = "VFLM/2"
-)
-
-// muxToken is the third preamble field that upgrades a v6 connection to
-// multiplexed length-prefixed framing. It lives in the preamble — not in
-// the ClientHello — because both gob and JSON decoders read ahead of the
-// envelope they decode, so the framing discriminator must be consumed
+// handshakeMagic and muxToken spell the one preamble every connection opens
+// with, "VFLM/6 <codec> mux\n": after it, every envelope travels in a
+// length-prefixed frame and carries a session ID. The framing choice lives
+// in the preamble — not in the ClientHello — because both gob and JSON
+// decoders read ahead of the envelope they decode, so it must be settled
 // before any codec touches the stream.
-const muxToken = "mux"
+const (
+	handshakeMagic = "VFLM/6"
+	muxToken       = "mux"
+)
 
 // maxHandshakeLen bounds the preamble line so garbage connections fail
 // fast.
 const maxHandshakeLen = 64
 
-// WriteHandshake sends the v6 serial preamble naming the codec the client
-// will speak.
-func WriteHandshake(w io.Writer, codecName string) error {
-	if _, err := fmt.Fprintf(w, "%s %s\n", handshakeMagic, codecName); err != nil {
-		return classify(fmt.Errorf("wire: handshake: %w", err))
-	}
-	return nil
-}
-
-// WriteMuxHandshake sends the v6 multiplexed preamble: after it, every
-// envelope on the connection travels in a length-prefixed frame and carries
-// a session ID.
+// WriteMuxHandshake sends the preamble naming the codec the client will
+// speak.
 func WriteMuxHandshake(w io.Writer, codecName string) error {
 	if _, err := fmt.Fprintf(w, "%s %s %s\n", handshakeMagic, codecName, muxToken); err != nil {
 		return classify(fmt.Errorf("wire: handshake: %w", err))
@@ -315,42 +259,43 @@ func WriteMuxHandshake(w io.Writer, codecName string) error {
 	return nil
 }
 
-// ReadHandshake consumes the v2–v6 serial preamble and returns the codec
-// name the client announced. Multiplexed preambles are rejected; endpoints
-// that accept both call AcceptHandshakeMux instead.
-func ReadHandshake(br *bufio.Reader) (codecName string, err error) {
-	name, mux, err := readHandshake(br)
-	if err != nil {
-		return "", err
-	}
-	if mux {
-		return "", fmt.Errorf("wire: handshake: mux preamble on a serial endpoint")
-	}
-	return name, nil
-}
-
-// readHandshake consumes the v2–v6 preamble: the codec name plus whether
-// the client asked for the v6 multiplexed framing upgrade.
-func readHandshake(br *bufio.Reader) (codecName string, mux bool, err error) {
+// readHandshake consumes the preamble and returns the codec it names. Only
+// "VFLM/6 gob mux" and "VFLM/6 json mux" are accepted. A retired spelling —
+// "VFLM/N <codec>" without the mux token, as serial clients of earlier
+// protocol versions wrote it — fails with refuse naming the codec its
+// client reads, so the refusal can be answered in it; any other line fails
+// with refuse empty.
+func readHandshake(br *bufio.Reader) (codecName, refuse string, err error) {
 	line, err := readLine(br, maxHandshakeLen)
 	if err != nil {
-		return "", false, classify(fmt.Errorf("wire: handshake: %w", err))
+		return "", "", classify(fmt.Errorf("wire: handshake: %w", err))
 	}
-	fields := strings.Fields(line)
-	if len(fields) < 2 || len(fields) > 3 ||
-		(fields[0] != handshakeMagic && fields[0] != handshakeMagicV5 &&
-			fields[0] != handshakeMagicV4 && fields[0] != handshakeMagicV3 &&
-			fields[0] != handshakeMagicV2) {
-		return "", false, fmt.Errorf("wire: handshake: bad preamble %q", line)
+	switch line {
+	case handshakeMagic + " " + CodecGob + " " + muxToken:
+		return CodecGob, "", nil
+	case handshakeMagic + " " + CodecJSON + " " + muxToken:
+		return CodecJSON, "", nil
 	}
-	if len(fields) == 3 {
-		// Only the current version may ask for the mux upgrade.
-		if fields[2] != muxToken || fields[0] != handshakeMagic {
-			return "", false, fmt.Errorf("wire: handshake: bad preamble %q", line)
+	err = fmt.Errorf("wire: handshake: bad preamble %q (this server speaks only %q)",
+		line, handshakeMagic+" <codec> "+muxToken)
+	if f := strings.Fields(line); len(f) == 2 && isVersionMagic(f[0]) && slices.Contains(CodecNames(), f[1]) {
+		return "", f[1], err
+	}
+	return "", "", err
+}
+
+// isVersionMagic reports whether s spells "VFLM/N" for a decimal N.
+func isVersionMagic(s string) bool {
+	n, ok := strings.CutPrefix(s, "VFLM/")
+	if !ok || n == "" {
+		return false
+	}
+	for i := 0; i < len(n); i++ {
+		if n[i] < '0' || n[i] > '9' {
+			return false
 		}
-		return fields[1], true, nil
 	}
-	return fields[1], false, nil
+	return true
 }
 
 func readLine(br *bufio.Reader, max int) (string, error) {
@@ -368,116 +313,13 @@ func readLine(br *bufio.Reader, max int) (string, error) {
 	return "", fmt.Errorf("preamble exceeds %d bytes", max)
 }
 
-// AcceptHandshake performs the server side of the v2 opening on a fresh
-// connection: read the preamble, build the codec, and receive the
-// ClientHello. The returned codec must be used for everything that
-// follows (its reader owns the connection's buffered bytes). Multiplexed
-// preambles are rejected; frontends that accept both call
-// AcceptHandshakeMux.
-func AcceptHandshake(conn net.Conn) (Codec, *ClientHello, error) {
-	br := bufio.NewReader(conn)
-	name, err := ReadHandshake(br)
-	if err != nil {
-		return nil, nil, err
-	}
-	c, err := NewCodec(name, br, conn)
-	if err != nil {
-		return nil, nil, err
-	}
-	e, err := link{c}.recv(KindClientHello)
-	if err != nil {
-		return nil, nil, err
-	}
-	return c, e.Client, nil
-}
-
-// switchReader lets the accept path re-point the stream under an already
-// buffered bufio.Reader: the preamble is read through the per-op deadline
-// wrapper, and if the client asked for mux framing the underlying reader is
-// swapped to the raw connection (the mux reader manages its own deadlines;
-// per-read deadlines would kill idle pooled connections).
-type switchReader struct{ r io.Reader }
-
-func (s *switchReader) Read(p []byte) (int, error) { return s.r.Read(p) }
-
-// AcceptHandshakeMux performs the server side of the opening on a fresh
-// connection, accepting both the serial (v2–v6) and the multiplexed (v6)
-// preamble. For a serial client it behaves exactly like AcceptHandshake
-// over a per-op deadline wrapper. For a mux client it returns a framed
-// codec over the raw connection with mux=true; the caller hands the
-// connection to ServeMuxConn, which owns deadlines from then on. The hello
-// read itself is bounded by ioTimeout in both modes.
-func AcceptHandshakeMux(conn net.Conn, ioTimeout time.Duration) (Codec, *ClientHello, bool, error) {
-	tconn := WithIOTimeout(conn, ioTimeout)
-	sr := &switchReader{r: tconn}
-	br := frameReaderPool.Get().(*bufio.Reader)
-	br.Reset(sr)
-	name, mux, err := readHandshake(br)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	if !mux {
-		c, err := NewCodec(name, br, tconn)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		e, err := link{c}.recv(KindClientHello)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		return c, e.Client, false, nil
-	}
-	sr.r = conn
-	if ioTimeout > 0 {
-		if err := conn.SetReadDeadline(time.Now().Add(ioTimeout)); err != nil {
-			return nil, nil, false, err
-		}
-	}
-	fc, err := newFramedCodec(name, br, conn)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	e, err := link{fc}.recv(KindClientHello)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	if ioTimeout > 0 {
-		if err := conn.SetReadDeadline(time.Time{}); err != nil {
-			return nil, nil, false, err
-		}
-	}
-	return fc, e.Client, true, nil
-}
-
-// ClientHandshake performs the client side of the v3 opening: preamble,
-// the given ClientHello (its Version is forced to ProtocolVersion), and
-// the server's Hello (or its rejection, surfaced as an error).
-func ClientHandshake(conn net.Conn, codecName string, ch ClientHello) (Codec, *Hello, error) {
-	if err := WriteHandshake(conn, codecName); err != nil {
-		return nil, nil, err
-	}
-	c, err := NewCodec(codecName, conn, conn)
-	if err != nil {
-		return nil, nil, err
-	}
-	l := link{c}
-	ch.Version = ProtocolVersion
-	if err := l.send(&Envelope{Kind: KindClientHello, Client: &ch}); err != nil {
-		return nil, nil, err
-	}
-	e, err := l.recv(KindHello)
-	if err != nil {
-		return nil, nil, err
-	}
-	return c, e.Hello, nil
-}
-
-// flusher is satisfied by codecs that buffer writes (the v6 framed codec).
-// Serial codecs write through and need no flushing.
+// flusher is satisfied by codecs that buffer writes (the framed codec and
+// its mux sessions). NewCodec's stream codecs write through and need no
+// flushing.
 type flusher interface{ Flush() error }
 
 // Flush pushes any buffered frames of c to the connection. A no-op for
-// serial codecs.
+// codecs that write through.
 func Flush(c Codec) error {
 	if f, ok := c.(flusher); ok {
 		return f.Flush()
@@ -492,18 +334,18 @@ func SendError(c Codec, format string, args ...any) {
 	_ = Flush(c)
 }
 
-// SendBusy sends the v4 admission-control rejection: the server's session
-// pool is saturated and the connection closes without a session. Clients
-// see ErrServerBusy and may retry with backoff. Best effort, like
+// SendBusy sends the retryable refusal: the session was turned away for
+// load (the connection's session cap) or because its market is migrating.
+// Clients see ErrServerBusy and may retry with backoff. Best effort, like
 // SendError.
 func SendBusy(c Codec, format string, args ...any) {
 	_ = c.Send(&Envelope{Kind: KindBusy, Err: &ErrorMsg{Msg: fmt.Sprintf(format, args...)}})
 	_ = Flush(c)
 }
 
-// SendRedirect sends the v5 shard-routing answer in place of the Hello:
-// the server does not own the market, and the client should redial Addr.
-// The connection (or, on a mux conn, the session) closes after it. Best
+// SendRedirect sends the shard-routing answer in place of the Hello: the
+// server does not own the market, and the client should redial Addr. The
+// connection (or, for a stream hello, the session) closes after it. Best
 // effort, like SendError.
 func SendRedirect(c Codec, r *Redirect) {
 	_ = c.Send(&Envelope{Kind: KindRedirect, Redirect: r})

@@ -3,9 +3,10 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
-	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -59,75 +60,86 @@ func TestCodecsRoundTripEnvelopes(t *testing.T) {
 }
 
 func TestHandshakeRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteHandshake(&buf, CodecJSON); err != nil {
-		t.Fatal(err)
-	}
-	name, err := ReadHandshake(bufio.NewReader(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != CodecJSON {
-		t.Fatalf("codec = %q", name)
+	for _, codec := range CodecNames() {
+		var buf bytes.Buffer
+		if err := WriteMuxHandshake(&buf, codec); err != nil {
+			t.Fatal(err)
+		}
+		name, refuse, err := readHandshake(bufio.NewReader(&buf))
+		if err != nil || name != codec || refuse != "" {
+			t.Fatalf("%s preamble read back as codec=%q refuse=%q err=%v", codec, name, refuse, err)
+		}
 	}
 
 	for _, bad := range []string{"", "HTTP/1.1 GET /\n", "VFLM/1 gob\n", "VFLM/2 gob json extra\n",
+		"VFLM/6 xml mux\n", "VFLM/5 gob mux\n", "VFLM/6  gob mux\n",
 		"VFLM/2 " + string(bytes.Repeat([]byte("x"), 100)) + "\n"} {
-		if _, err := ReadHandshake(bufio.NewReader(bytes.NewBufferString(bad))); err == nil {
+		if _, _, err := readHandshake(bufio.NewReader(bytes.NewBufferString(bad))); err == nil {
 			t.Fatalf("bad preamble %q accepted", bad)
+		}
+	}
+	// The retired serial spellings are refused in the codec they named.
+	for _, retired := range []string{"VFLM/2 json\n", "VFLM/5 gob\n", "VFLM/6 json\n", "VFLM/7 gob\n"} {
+		_, refuse, err := readHandshake(bufio.NewReader(bytes.NewBufferString(retired)))
+		if err == nil || refuse != strings.Fields(retired)[1] {
+			t.Fatalf("retired preamble %q: refuse=%q err=%v", retired, refuse, err)
 		}
 	}
 }
 
-// TestServeConnTimesOutOnStalledClient is the deadline fix: a client that
-// connects and then goes silent must fail the session with an
-// ErrPeerTimeout-classified error instead of hanging ServeConn forever.
-func TestServeConnTimesOutOnStalledClient(t *testing.T) {
+// TestServeCodecTimesOutOnStalledClient is the deadline fix: a client that
+// opens a session and then goes silent must fail the server's session loop
+// with an ErrPeerTimeout-classified error — the stream's own receive timer
+// — instead of hanging ServeCodec forever.
+func TestServeCodecTimesOutOnStalledClient(t *testing.T) {
 	cat, cfg, _ := buildMarket(t, 61)
 	srv, err := NewDataServer(cat, cfg.EpsData, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.IOTimeout = 50 * time.Millisecond
-
-	clientConn, serverConn := net.Pipe()
-	defer clientConn.Close()
+	hello := mustHello(t, srv)
 	errCh := make(chan error, 1)
-	go func() {
-		defer serverConn.Close()
-		_, err := srv.ServeConn(serverConn)
+	mc, shutdown := startMuxServer(t, 50*time.Millisecond, 0, func(st *MuxStream, _ *ClientHello) {
+		_, err := srv.ServeCodec(st, hello)
 		errCh <- err
-	}()
-	// Read the Hello, then stall without ever quoting.
-	if _, err := newCodec(clientConn).recv(KindHello); err != nil {
+	})
+	defer shutdown()
+	// Take the Hello, then stall without ever quoting.
+	s, _, err := mc.Open(context.Background(), ClientHello{}, time.Minute)
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	select {
 	case err := <-errCh:
 		if !errors.Is(err, ErrPeerTimeout) {
 			t.Fatalf("err = %v, want ErrPeerTimeout", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("server hung on a stalled client despite IOTimeout")
+		t.Fatal("server hung on a stalled client despite its IO timeout")
 	}
 }
 
 // TestClientTimesOutOnStalledServer is the client-side mirror: a server
-// that never answers the first quote must not hang Bargain.
+// that never answers the first quote must not hang BargainCodec.
 func TestClientTimesOutOnStalledServer(t *testing.T) {
 	_, cfg, gains := buildMarket(t, 67)
-	clientConn, serverConn := net.Pipe()
-	defer serverConn.Close()
-	go func() {
+	mc, shutdown := startMuxServer(t, time.Minute, 0, func(st *MuxStream, _ *ClientHello) {
 		// Say hello, then go silent (swallow the client's quote).
-		l := newCodec(serverConn)
+		l := link{st}
 		l.send(&Envelope{Kind: KindHello, Hello: &Hello{}}) //nolint:errcheck
 		l.recv(KindQuote)                                   //nolint:errcheck
-	}()
-	client := &TaskClient{Session: cfg, Gains: gains, IOTimeout: 50 * time.Millisecond}
+	})
+	defer shutdown()
+	s, hello, err := mc.Open(context.Background(), ClientHello{}, 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	client := &TaskClient{Session: cfg, Gains: gains}
 	done := make(chan error, 1)
 	go func() {
-		_, err := client.Bargain(clientConn)
+		_, err := client.BargainCodec(context.Background(), s, hello)
 		done <- err
 	}()
 	select {
@@ -136,7 +148,6 @@ func TestClientTimesOutOnStalledServer(t *testing.T) {
 			t.Fatalf("err = %v, want ErrPeerTimeout", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("client hung on a stalled server despite IOTimeout")
+		t.Fatal("client hung on a stalled server despite its IO timeout")
 	}
-	clientConn.Close()
 }

@@ -95,8 +95,8 @@ func TestRedirectSurfacesAsTypedError(t *testing.T) {
 }
 
 // TestFetchStatsOverConnection runs the admin exchange end to end: a
-// server goroutine answers the StatsOnly hello with a snapshot, and
-// FetchStats returns it intact.
+// server goroutine accepts the mux opening, answers the connection-level
+// StatsOnly hello with a snapshot, and FetchStats returns it intact.
 func TestFetchStatsOverConnection(t *testing.T) {
 	want := &StatsReport{
 		Server:  ServerStats{Accepted: 5, Sessions: 4, Closed: 3},
@@ -107,15 +107,17 @@ func TestFetchStatsOverConnection(t *testing.T) {
 	defer clientConn.Close()
 	go func() {
 		defer serverConn.Close()
-		codec, ch, err := AcceptHandshake(serverConn)
+		sc, ch, err := AcceptMux(serverConn, 5*time.Second, 0, 0)
 		if err != nil {
 			return
 		}
+		codec := sc.Codec()
 		if !ch.StatsOnly || ch.Version != ProtocolVersion {
 			SendError(codec, "not a stats hello")
 			return
 		}
 		_ = codec.Send(&Envelope{Kind: KindStats, Stats: want})
+		_ = Flush(codec)
 	}()
 	got, err := FetchStats(context.Background(), clientConn, CodecGob, 5*time.Second)
 	if err != nil {

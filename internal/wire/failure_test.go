@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
@@ -16,14 +17,7 @@ func TestServerSurvivesClientDisconnectAfterHello(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientConn, serverConn := net.Pipe()
-	errCh := make(chan error, 1)
-	go func() {
-		defer serverConn.Close()
-		_, err := srv.ServeConn(serverConn)
-		errCh <- err
-	}()
-	c := newCodec(clientConn)
+	c, clientConn, errCh := servePipe(t, srv)
 	if _, err := c.recv(KindHello); err != nil {
 		t.Fatal(err)
 	}
@@ -44,14 +38,7 @@ func TestServerSurvivesClientDisconnectMidRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientConn, serverConn := net.Pipe()
-	errCh := make(chan error, 1)
-	go func() {
-		defer serverConn.Close()
-		_, err := srv.ServeConn(serverConn)
-		errCh <- err
-	}()
-	c := newCodec(clientConn)
+	c, clientConn, errCh := servePipe(t, srv)
 	if _, err := c.recv(KindHello); err != nil {
 		t.Fatal(err)
 	}
@@ -74,19 +61,22 @@ func TestServerSurvivesClientDisconnectMidRound(t *testing.T) {
 }
 
 func TestClientSurvivesServerDisconnect(t *testing.T) {
-	cat, cfg, gains := buildMarket(t, 47)
-	_ = cat
+	_, cfg, gains := buildMarket(t, 47)
 	clientConn, serverConn := net.Pipe()
 	go func() {
 		// A "server" that sends Hello and dies.
-		c := newCodec(serverConn)
-		c.send(&Envelope{Kind: KindHello, Hello: &Hello{}}) //nolint:errcheck
+		c, _ := NewCodec(CodecGob, serverConn, serverConn)
+		c.Send(&Envelope{Kind: KindHello, Hello: &Hello{}}) //nolint:errcheck
 		serverConn.Close()
 	}()
 	client := &TaskClient{Session: cfg, Gains: gains}
 	done := make(chan error, 1)
 	go func() {
-		_, err := client.Bargain(clientConn)
+		c, _ := NewCodec(CodecGob, clientConn, clientConn)
+		he, err := link{c}.recv(KindHello)
+		if err == nil {
+			_, err = client.BargainCodec(context.Background(), c, he.Hello)
+		}
 		done <- err
 	}()
 	select {
@@ -100,19 +90,17 @@ func TestClientSurvivesServerDisconnect(t *testing.T) {
 	clientConn.Close()
 }
 
+// TestClientRejectsMalformedHello: a server that answers a session open
+// with anything but a Hello fails the open cleanly.
 func TestClientRejectsMalformedHello(t *testing.T) {
-	_, cfg, gains := buildMarket(t, 53)
-	clientConn, serverConn := net.Pipe()
-	go func() {
-		c := newCodec(serverConn)
+	mc, shutdown := startMuxServer(t, 5*time.Second, 0, func(st *MuxStream, _ *ClientHello) {
 		// Wrong kind first.
-		c.send(&Envelope{Kind: KindOffer, Offer: &Offer{}}) //nolint:errcheck
-		serverConn.Close()
-	}()
-	client := &TaskClient{Session: cfg, Gains: gains}
+		st.Send(&Envelope{Kind: KindOffer, Offer: &Offer{}}) //nolint:errcheck
+	})
+	defer shutdown()
 	done := make(chan error, 1)
 	go func() {
-		_, err := client.Bargain(clientConn)
+		_, _, err := mc.Open(context.Background(), ClientHello{}, 5*time.Second)
 		done <- err
 	}()
 	select {
@@ -123,7 +111,6 @@ func TestClientRejectsMalformedHello(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("client hung on malformed hello")
 	}
-	clientConn.Close()
 }
 
 func TestServerRoundCapEndsRunawaySession(t *testing.T) {
@@ -133,14 +120,7 @@ func TestServerRoundCapEndsRunawaySession(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.MaxRounds = 3
-	clientConn, serverConn := net.Pipe()
-	errCh := make(chan error, 1)
-	go func() {
-		defer serverConn.Close()
-		_, err := srv.ServeConn(serverConn)
-		errCh <- err
-	}()
-	c := newCodec(clientConn)
+	c, clientConn, errCh := servePipe(t, srv)
 	if _, err := c.recv(KindHello); err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,8 @@ import (
 	"sync"
 )
 
-// The v6 fast wire replaces one-decoder-per-connection stream codecs with
-// length-prefixed frames: every envelope travels as a 4-byte big-endian
+// The wire frames envelopes by length instead of running one stream
+// decoder per connection: every envelope travels as a 4-byte big-endian
 // length followed by that many payload bytes in the negotiated codec. The
 // frame boundary is what makes multiplexing safe — the demux loop can hand
 // whole envelopes to per-session inboxes without any session's decoder
@@ -119,7 +119,7 @@ func (f *frameReader) ReadByte() (byte, error) {
 type encoder interface{ Encode(e any) error }
 type decoder interface{ Decode(e any) error }
 
-// framedCodec is the v6 wire format: persistent codec state on both sides
+// framedCodec is the wire format: persistent codec state on both sides
 // of a length-prefixed frame stream. Send encodes into a reused scratch
 // buffer and appends length+payload to a buffered writer WITHOUT flushing —
 // callers batch envelopes and flush before blocking on a read (see Flush),

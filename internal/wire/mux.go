@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// The v6 session mux turns one framed connection into a fabric of
+// The session mux turns one framed connection into a fabric of
 // independent bargaining sessions. Both ends share the same shape: a single
 // reader goroutine demultiplexes inbound frames by session ID into buffered
 // per-session inboxes, and a mutex-serialized writer shares the buffered
@@ -43,7 +43,7 @@ var ErrSessionEvicted = errors.New("wire: session evicted")
 // nothing wrong. Transport-class, not a protocol violation.
 var ErrSessionCancelled = errors.New("wire: session cancelled by peer")
 
-// MuxConn is the client end of a v6 multiplexed connection: one dial, one
+// MuxConn is the client end of a multiplexed connection: one dial, one
 // handshake, many concurrent sessions. Safe for concurrent use.
 type MuxConn struct {
 	conn  net.Conn
@@ -61,8 +61,8 @@ type MuxConn struct {
 	dead     chan struct{}
 }
 
-// OpenMux upgrades a freshly dialed connection to a multiplexed v6 session
-// fabric: mux preamble, connection-level ClientHello (its Market names the
+// OpenMux upgrades a freshly dialed connection to a multiplexed session
+// fabric: preamble, connection-level ClientHello (its Market names the
 // market used for shard routing; ListOnly semantics — no session starts),
 // and the server's Hello, which doubles as the listing probe. The caller
 // owns the connection; on error it should close it. The handshake is
@@ -74,28 +74,8 @@ func OpenMux(conn net.Conn, codecName string, ch ClientHello, ioTimeout time.Dur
 			return nil, nil, err
 		}
 	}
-	if err := WriteMuxHandshake(conn, codecName); err != nil {
-		return nil, nil, err
-	}
-	br := frameReaderPool.Get().(*bufio.Reader)
-	br.Reset(conn)
-	fc, err := newFramedCodec(codecName, br, conn)
+	fc, e, err := openFramed(conn, codecName, ch, KindHello)
 	if err != nil {
-		return nil, nil, err
-	}
-	l := link{fc}
-	ch.Version = ProtocolVersion
-	if err := l.send(&Envelope{Kind: KindClientHello, Client: &ch}); err != nil {
-		fc.release()
-		return nil, nil, err
-	}
-	if err := fc.Flush(); err != nil {
-		fc.release()
-		return nil, nil, classify(err)
-	}
-	e, err := l.recv(KindHello)
-	if err != nil {
-		fc.release()
 		return nil, nil, err
 	}
 	if ioTimeout > 0 {
@@ -115,6 +95,38 @@ func OpenMux(conn net.Conn, codecName string, ch ClientHello, ioTimeout time.Dur
 	}
 	go m.readLoop()
 	return m, e.Hello, nil
+}
+
+// openFramed is the client half of the opening: it writes the preamble and
+// the connection-level hello (its Version forced to ProtocolVersion), then
+// reads the server's answer, which must be of kind want. Deadlines are the
+// caller's.
+func openFramed(conn net.Conn, codecName string, ch ClientHello, want Kind) (*framedCodec, *Envelope, error) {
+	if err := WriteMuxHandshake(conn, codecName); err != nil {
+		return nil, nil, err
+	}
+	br := frameReaderPool.Get().(*bufio.Reader)
+	br.Reset(conn)
+	fc, err := newFramedCodec(codecName, br, conn)
+	if err != nil {
+		return nil, nil, err
+	}
+	l := link{fc}
+	ch.Version = ProtocolVersion
+	if err := l.send(&Envelope{Kind: KindClientHello, Client: &ch}); err != nil {
+		fc.release()
+		return nil, nil, err
+	}
+	if err := fc.Flush(); err != nil {
+		fc.release()
+		return nil, nil, classify(err)
+	}
+	e, err := l.recv(want)
+	if err != nil {
+		fc.release()
+		return nil, nil, err
+	}
+	return fc, e, nil
 }
 
 // Hello returns the connection-level Hello — the market listing the
@@ -248,7 +260,7 @@ func (m *MuxConn) drop(s *MuxSession) {
 // Open starts one session over the connection: a KindOpen carrying the
 // per-session ClientHello, answered on the same SID with the server's
 // Hello (or a typed refusal — rejection, busy, redirect — surfaced exactly
-// like a serial handshake failure). The session's receives are bounded by
+// like a refused connection hello). The session's receives are bounded by
 // ioTimeout and watch ctx.
 func (m *MuxConn) Open(ctx context.Context, ch ClientHello, ioTimeout time.Duration) (*MuxSession, *Hello, error) {
 	ch.Version = ProtocolVersion
@@ -385,7 +397,7 @@ func (s *MuxSession) CloseClean() {
 	_ = s.mc.flush()
 }
 
-// MuxServerConn is the server end of a v6 multiplexed connection: it owns
+// MuxServerConn is the server end of a multiplexed connection: it owns
 // the demux loop, spawns one handler per KindOpen, and shares the framed
 // send path between the streams.
 type MuxServerConn struct {
@@ -403,15 +415,52 @@ type MuxServerConn struct {
 	err      error
 }
 
-// NewMuxServerConn wraps a connection whose mux handshake AcceptHandshakeMux
-// already completed. maxSessions bounds concurrently open streams per
-// connection (<= 0 means unbounded); opens beyond it are answered KindBusy.
-// idle is the whole-connection read deadline between envelopes: 0 picks the
-// default of idleFactor x the IO timeout, < 0 disables the idle deadline.
-func NewMuxServerConn(conn net.Conn, c Codec, ioTimeout, idle time.Duration, maxSessions int) (*MuxServerConn, error) {
-	fc, ok := c.(*framedCodec)
-	if !ok {
-		return nil, fmt.Errorf("wire: mux serve needs the framed codec from AcceptHandshakeMux, got %T", c)
+// AcceptMux performs the server side of the opening on a fresh
+// connection: the preamble and the connection-level ClientHello, both read
+// within ioTimeout. It returns the connection ready to answer that hello
+// (Codec, SendHello) and then Serve its streams. maxSessions bounds
+// concurrently open streams (<= 0 means unbounded); opens beyond it are
+// answered KindBusy. idle is the whole-connection read deadline between
+// envelopes: 0 picks the default of idleFactor x ioTimeout, < 0 disables
+// it.
+//
+// A retired preamble ("VFLM/N <codec>" without the mux token) is answered
+// with one KindError envelope in the codec it named, unframed, as its
+// client reads it; like every other handshake failure it then returns an
+// error, and the caller closes the connection.
+func AcceptMux(conn net.Conn, ioTimeout, idle time.Duration, maxSessions int) (*MuxServerConn, *ClientHello, error) {
+	if ioTimeout > 0 {
+		if err := conn.SetDeadline(time.Now().Add(ioTimeout)); err != nil {
+			return nil, nil, err
+		}
+	}
+	br := frameReaderPool.Get().(*bufio.Reader)
+	br.Reset(conn)
+	name, refuse, err := readHandshake(br)
+	if err != nil {
+		if refuse != "" {
+			// The retired client wrote its hello right behind the preamble:
+			// drain it after the answer, so the close that follows does not
+			// reset the connection before the refusal is read.
+			c, _ := NewCodec(refuse, br, conn)
+			SendError(c, "%v", err)
+			_, _ = c.Recv()
+		}
+		return nil, nil, err
+	}
+	fc, err := newFramedCodec(name, br, conn)
+	if err != nil {
+		return nil, nil, err
+	}
+	e, err := link{fc}.recv(KindClientHello)
+	if err == nil && ioTimeout > 0 {
+		// From here streams arm their own timers and Serve its idle
+		// deadline; the write deadline stays armed for the hello's answer.
+		err = conn.SetReadDeadline(time.Time{})
+	}
+	if err != nil {
+		fc.release()
+		return nil, nil, err
 	}
 	if idle == 0 && ioTimeout > 0 {
 		idle = idleFactor * ioTimeout
@@ -423,8 +472,13 @@ func NewMuxServerConn(conn net.Conn, c Codec, ioTimeout, idle time.Duration, max
 		idle:     idle,
 		max:      maxSessions,
 		sessions: make(map[uint64]*MuxStream),
-	}, nil
+	}, e.Client, nil
 }
+
+// Codec is the connection-level codec (session ID 0) that answers the
+// connection hello with a Hello or a typed refusal. It is for use before
+// Serve only: from then on the demux loop owns the connection.
+func (sc *MuxServerConn) Codec() Codec { return sc.fc }
 
 // SendHello writes the connection-level Hello that answers the handshake
 // probe, flushing it to the client.
@@ -437,11 +491,14 @@ func (sc *MuxServerConn) SendHello(h *Hello) error {
 
 // Serve runs the demux loop until the connection dies or is closed: every
 // KindOpen spawns handler in its own goroutine with a MuxStream scoped to
-// that session. Serve returns after all handlers have finished. The idle
-// read deadline defaults to a generous idleFactor x the IO timeout (see
-// NewMuxServerConn) so active streams' own receive timers fire first,
-// while abandoned connections are still reaped.
-func (sc *MuxServerConn) Serve(handler func(st *MuxStream, ch *ClientHello)) error {
+// that session. An open the connection cannot admit (its session cap is
+// reached, or it is draining) is answered KindBusy on its own SID and
+// reported to busy, when non-nil, before that answer leaves. Serve returns
+// after all handlers have finished. The idle read deadline defaults to a
+// generous idleFactor x the IO timeout (see AcceptMux) so active streams'
+// own receive timers fire first, while abandoned connections are still
+// reaped.
+func (sc *MuxServerConn) Serve(handler func(st *MuxStream, ch *ClientHello), busy func(err error)) error {
 	var wg sync.WaitGroup
 	idle := sc.idle
 	if idle < 0 {
@@ -466,9 +523,12 @@ func (sc *MuxServerConn) Serve(handler func(st *MuxStream, ch *ClientHello)) err
 				sc.replySID(e.SID, KindError, "open without a client hello")
 				continue
 			}
-			st, ok := sc.admit(e.SID)
-			if !ok {
-				sc.replySID(e.SID, KindBusy, "connection session limit reached")
+			st, aerr := sc.admit(e.SID)
+			if aerr != nil {
+				if busy != nil {
+					busy(aerr)
+				}
+				sc.replySID(e.SID, KindBusy, aerr.Error())
 				continue
 			}
 			wg.Add(1)
@@ -509,17 +569,16 @@ func (sc *MuxServerConn) Serve(handler func(st *MuxStream, ch *ClientHello)) err
 
 // admit registers a stream for a client-chosen SID, enforcing the drain
 // state and the per-conn session cap.
-func (sc *MuxServerConn) admit(sid uint64) (*MuxStream, bool) {
+func (sc *MuxServerConn) admit(sid uint64) (*MuxStream, error) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if sc.err != nil || sc.draining {
-		return nil, false
-	}
-	if sid == 0 || sc.sessions[sid] != nil {
-		return nil, false
-	}
-	if sc.max > 0 && len(sc.sessions) >= sc.max {
-		return nil, false
+	switch {
+	case sc.err != nil || sc.draining:
+		return nil, errors.New("wire: connection draining")
+	case sid == 0 || sc.sessions[sid] != nil:
+		return nil, fmt.Errorf("wire: session %d already open", sid)
+	case sc.max > 0 && len(sc.sessions) >= sc.max:
+		return nil, fmt.Errorf("wire: connection session limit of %d reached", sc.max)
 	}
 	st := &MuxStream{
 		sc:    sc,
@@ -529,7 +588,7 @@ func (sc *MuxServerConn) admit(sid uint64) (*MuxStream, bool) {
 		dead:  make(chan struct{}),
 	}
 	sc.sessions[sid] = st
-	return st, true
+	return st, nil
 }
 
 func (sc *MuxServerConn) dropStream(st *MuxStream) {

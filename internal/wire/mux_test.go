@@ -9,10 +9,11 @@ import (
 	"time"
 )
 
-// startMuxEcho runs a MuxServerConn over loopback whose per-stream handler
-// answers every received envelope with an echo of its kind stamped KindAck
-// — enough protocol to measure liveness per stream without a full market.
-func startMuxEcho(t *testing.T, ioTimeout time.Duration) (*MuxConn, func()) {
+// startMuxServer accepts one loopback connection, completes the opening
+// with AcceptMux and a connection-level Hello for market "echo", and serves
+// the connection's streams with handler. It returns the client's end and a
+// shutdown func that tears both ends down.
+func startMuxServer(t *testing.T, ioTimeout time.Duration, maxSessions int, handler func(st *MuxStream, ch *ClientHello)) (*MuxConn, func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -26,34 +27,16 @@ func startMuxEcho(t *testing.T, ioTimeout time.Duration) (*MuxConn, func()) {
 			return
 		}
 		defer conn.Close()
-		c, _, isMux, err := AcceptHandshakeMux(conn, ioTimeout)
-		if err != nil || !isMux {
-			t.Errorf("mux handshake: isMux=%v err=%v", isMux, err)
-			return
-		}
-		sc, err := NewMuxServerConn(conn, c, ioTimeout, 0, 0)
+		sc, _, err := AcceptMux(conn, ioTimeout, 0, maxSessions)
 		if err != nil {
-			t.Error(err)
+			t.Errorf("mux handshake: %v", err)
 			return
 		}
 		if err := sc.SendHello(&Hello{Version: ProtocolVersion, Market: "echo"}); err != nil {
 			t.Error(err)
 			return
 		}
-		_ = sc.Serve(func(st *MuxStream, ch *ClientHello) {
-			if err := st.Send(&Envelope{Kind: KindHello, Hello: &Hello{Version: ProtocolVersion, Market: "echo"}}); err != nil {
-				return
-			}
-			for {
-				e, err := st.Recv()
-				if err != nil {
-					return
-				}
-				if err := st.Send(&Envelope{Kind: KindAck, Ack: &Ack{Round: e.Quote.Round}}); err != nil {
-					return
-				}
-			}
-		})
+		_ = sc.Serve(handler, nil)
 	}()
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
@@ -71,6 +54,26 @@ func startMuxEcho(t *testing.T, ioTimeout time.Duration) (*MuxConn, func()) {
 		ln.Close()
 		<-done
 	}
+}
+
+// startMuxEcho runs a mux server whose per-stream handler answers every
+// received envelope with an echo of its round stamped KindAck — enough
+// protocol to measure liveness per stream without a full market.
+func startMuxEcho(t *testing.T, ioTimeout time.Duration) (*MuxConn, func()) {
+	return startMuxServer(t, ioTimeout, 0, func(st *MuxStream, ch *ClientHello) {
+		if err := st.Send(&Envelope{Kind: KindHello, Hello: &Hello{Version: ProtocolVersion, Market: "echo"}}); err != nil {
+			return
+		}
+		for {
+			e, err := st.Recv()
+			if err != nil {
+				return
+			}
+			if err := st.Send(&Envelope{Kind: KindAck, Ack: &Ack{Round: e.Quote.Round}}); err != nil {
+				return
+			}
+		}
+	})
 }
 
 // TestMuxStalledStreamDoesNotBlockSiblings is the head-of-line-blocking
@@ -159,48 +162,17 @@ func TestMuxStalledStreamDoesNotBlockSiblings(t *testing.T) {
 // disturbing admitted streams.
 func TestMuxSessionCapAnswersBusy(t *testing.T) {
 	const ioTimeout = 2 * time.Second
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
+	mc, shutdown := startMuxServer(t, ioTimeout, 1, func(st *MuxStream, ch *ClientHello) { // one stream only
+		if st.Send(&Envelope{Kind: KindHello, Hello: &Hello{Version: ProtocolVersion, Market: "echo"}}) != nil {
 			return
 		}
-		defer conn.Close()
-		c, _, _, err := AcceptHandshakeMux(conn, ioTimeout)
-		if err != nil {
-			return
-		}
-		sc, err := NewMuxServerConn(conn, c, ioTimeout, 0, 1) // one stream only
-		if err != nil {
-			return
-		}
-		if err := sc.SendHello(&Hello{Version: ProtocolVersion, Market: "echo"}); err != nil {
-			return
-		}
-		_ = sc.Serve(func(st *MuxStream, ch *ClientHello) {
-			if st.Send(&Envelope{Kind: KindHello, Hello: &Hello{Version: ProtocolVersion, Market: "echo"}}) != nil {
+		for {
+			if _, err := st.Recv(); err != nil {
 				return
 			}
-			for {
-				if _, err := st.Recv(); err != nil {
-					return
-				}
-			}
-		})
-	}()
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc, _, err := OpenMux(conn, CodecGob, ClientHello{Market: "echo", ListOnly: true}, ioTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mc.Close()
+		}
+	})
+	defer shutdown()
 
 	s1, _, err := mc.Open(context.Background(), ClientHello{Market: "echo"}, ioTimeout)
 	if err != nil {

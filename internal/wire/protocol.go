@@ -6,31 +6,39 @@
 // plus the §3.6 option of settling payments under Paillier encryption so
 // the realized ΔG never crosses the wire in clear.
 //
-// Protocol (codec-framed envelopes over one connection):
+// Protocol (one preamble, then length-prefixed frames of codec-encoded
+// envelopes, each carrying a session ID; SID 0 is the connection itself):
 //
-//	v3 handshake:
-//	  client → server  "VFLM/3 <codec>\n"      (ASCII preamble naming the codec)
-//	  client → server  ClientHello{version, market, mode, imperfect knobs, listOnly}
-//	server → client  Hello{market, modes, listing, optional public key} | Error
-//	loop (either information regime):
-//	  client → server  Quote{p, P0, Ph}
-//	  server → client  Offer{bundle} | Offer{Fail}      (Cases 1–3 / I–II)
-//	  client → server  Settle{ΔG or Enc(payment), decision}  (Cases 4–6 / IV–VI)
-//	  server → client  Ack{g's pre-update MSE}          (imperfect mode only)
-//	                   (a Settle sent instead of a Quote is a clean walk-away)
+//	opening (OpenMux / AcceptMux):
+//	  client → server  "VFLM/6 <codec> mux\n"  (ASCII preamble naming gob or json)
+//	  client → server  ClientHello{version, market, listOnly | statsOnly}
+//	  server → client  Hello{market, markets, modes, listing, optional public key}
+//	                   | Stats (statsOnly, then close) | Error | Redirect
+//	per session (MuxConn.Open; every frame stamped with the session's SID):
+//	  client → server  Open{ClientHello: mode, imperfect knobs, resume}
+//	  server → client  Hello | Error | Busy | Redirect
+//	  loop (either information regime):
+//	    client → server  Quote{p, P0, Ph}
+//	    server → client  Offer{bundle} | Offer{Fail}      (Cases 1–3 / I–II)
+//	    client → server  Settle{ΔG or Enc(payment), decision}  (Cases 4–6 / IV–VI)
+//	    server → client  Ack{g's pre-update MSE}          (imperfect mode only)
+//	                     (a Settle sent instead of a Quote is a clean walk-away)
+//	  client → server  Cancel (abandons the session; its siblings carry on)
 //
-// The handshake advertises the information regime: ClientHello.Mode selects
-// perfect (closed-form Eq. 5 pricing against the catalog policy) or
+// Any other preamble is refused: a retired "VFLM/N <codec>" spelling of an
+// earlier serial protocol gets one unframed Error envelope in its codec,
+// anything else a bare close.
+//
+// The session hello advertises the information regime: ClientHello.Mode
+// selects perfect (closed-form Eq. 5 pricing against the catalog policy) or
 // imperfect (§3.5 estimation-based bargaining, the server playing
 // core.EstimatorSeller and training on the realized gains each settlement
 // feeds back). Imperfect sessions require cleartext settlement — the
 // realized ΔG is the data party's training signal — so they are refused on
-// Paillier-settling servers.
-//
-// The legacy endpoints (DataServer.ServeConn, TaskClient.Bargain) skip the
-// handshake and speak gob with a server-first Hello, exactly as before; v2
-// preambles are still accepted. Envelope framing is codec-agnostic (see
-// Codec): gob for Go peers, JSON for everyone else.
+// Paillier-settling servers. Envelope encoding is codec-agnostic (see
+// Codec): gob for Go peers, JSON for everyone else. The session loop
+// (DataServer.ServeCodec, TaskClient.BargainCodec) runs over any Codec, so
+// tests also play it over NewCodec's unframed streams.
 //
 // Secure key handling is pipelined: the server's Paillier key pair comes
 // from a secure.KeyProvider (generation runs off the registration path;
@@ -47,22 +55,16 @@ import (
 	"repro/internal/core"
 )
 
-// ProtocolVersion is the current wire protocol version, carried in
-// ClientHello and echoed in Hello. v6 is the fast-wire revision: the "mux"
-// handshake upgrades a connection to a multiplexed session fabric
-// (length-prefixed frames, envelopes carrying a session ID, KindOpen /
-// KindCancel to start and tear down individual sessions over one
-// connection), and v6 clients pipeline their rounds — Settle(n) and
-// Quote(n+1) leave in one write, the settlement Ack is read together with
-// the next Offer — so a steady-state imperfect round costs one RTT instead
-// of two. The envelope sequence per session is unchanged from v5, which is
-// what keeps resume and bit-identity intact. v5 added the sharded-fabric
-// envelopes: KindRedirect (a shard that no longer owns a market answers
-// with the current owner and shard-map epoch instead of an error) and
-// KindStats (the admin metrics snapshot rebalancers consume), plus
-// ClientHello.StatsOnly. v4 added session resume (client identity and
-// resume round in ImperfectHello, Resumed in Hello) and the KindBusy
-// admission-control envelope; v2–v5 clients are still accepted.
+// ProtocolVersion is the wire protocol version, carried in every
+// ClientHello and echoed in Hello; a server refuses any other. It is the
+// number in the one preamble, "VFLM/6 <codec> mux": a multiplexed session
+// fabric (length-prefixed frames, envelopes carrying a session ID, KindOpen
+// and KindCancel to start and tear down individual sessions over one
+// connection) whose clients pipeline their rounds when the codec buffers
+// writes — Settle(n) and Quote(n+1) leave in one write, the settlement Ack
+// is read together with the next Offer — so a steady-state imperfect round
+// costs one RTT instead of two. Pipelining leaves the per-session envelope
+// sequence unchanged, which is what keeps resume and bit-identity intact.
 const ProtocolVersion = 6
 
 // Information regimes named in the handshake.
@@ -88,27 +90,28 @@ const (
 	KindClientHello
 	KindError
 	KindAck
-	// KindBusy is the v4 admission-control rejection: the server's session
-	// pool is saturated and the connection is refused rather than queued.
-	// Clients surface it as ErrServerBusy and may retry with backoff.
+	// KindBusy is the retryable refusal of a session: the connection's
+	// session cap is reached, the market is migrating, or the stream was
+	// severed for a migration. Clients surface it as ErrServerBusy and may
+	// retry with backoff.
 	KindBusy
-	// KindRedirect is the v5 shard-routing answer: the server does not own
+	// KindRedirect is the shard-routing answer: the server does not own
 	// the requested market, and instead of a terminal error it names the
 	// shard that does (plus the shard-map epoch of that knowledge). Clients
 	// surface it as a *RedirectError and transparently redial the owner.
 	KindRedirect
-	// KindStats is the v5 admin metrics envelope: a server answers a
+	// KindStats is the admin metrics envelope: a server answers a
 	// StatsOnly hello with its counter snapshot — server totals plus the
 	// per-market load the fabric rebalancer plans transfers from — and
 	// closes.
 	KindStats
-	// KindOpen is the v6 mux session opener: a ClientHello carried inside
+	// KindOpen is the mux session opener: a ClientHello carried inside
 	// the multiplexed stream, stamped with the fresh session ID every frame
 	// of the session will carry. The server answers on the same SID with a
 	// Hello (or a typed refusal: error, busy, redirect) and the session then
 	// speaks the ordinary envelope sequence.
 	KindOpen
-	// KindCancel is the v6 mux session teardown: the client abandons one
+	// KindCancel is the mux session teardown: the client abandons one
 	// session of a multiplexed connection without touching its siblings.
 	// Either side may also receive it for an already-finished SID, which is
 	// ignored.
@@ -154,9 +157,10 @@ type BundleInfo struct {
 	Features []int
 }
 
-// ClientHello opens a v2/v3 session: the task party names the protocol
-// version it speaks, the market it wants to bargain in, and the
-// information regime it wants to play.
+// ClientHello opens a connection (the hello after the preamble) or a
+// session (carried in KindOpen): the task party names the protocol version
+// it speaks, the market it wants to bargain in, and the information regime
+// it wants to play.
 type ClientHello struct {
 	// Version is the client's protocol version (ProtocolVersion).
 	Version int
@@ -164,7 +168,7 @@ type ClientHello struct {
 	// server's default (first registered) market.
 	Market string
 	// Mode names the information regime (ModePerfect, ModeImperfect); ""
-	// means perfect (and is what v2 clients send).
+	// means perfect.
 	Mode string
 	// Imperfect carries the imperfect-regime parameters; required when Mode
 	// is ModeImperfect, ignored otherwise.
@@ -172,7 +176,7 @@ type ClientHello struct {
 	// ListOnly asks for the Hello (markets, listing, key) without opening a
 	// bargaining session; the server answers and closes.
 	ListOnly bool
-	// StatsOnly (v5) asks for the server's metrics snapshot (a KindStats
+	// StatsOnly asks for the server's metrics snapshot (a KindStats
 	// envelope) instead of a session; the server answers and closes. It is
 	// the admin read the fabric rebalancer consumes — no Hello, no listing,
 	// no market resolution.
@@ -196,11 +200,11 @@ type ImperfectHello struct {
 	// ReplaySteps is the per-round experience-replay budget; <= 0 means
 	// the core default.
 	ReplaySteps int
-	// ClientID (v4) is a client-chosen stable identity — filename-safe,
+	// ClientID is a client-chosen stable identity — filename-safe,
 	// [A-Za-z0-9_-], at most 64 bytes — under which the server checkpoints
 	// this session's estimator state. "" disables checkpointing.
 	ClientID string
-	// ResumeRound (v4) asks the server to resume this identity's
+	// ResumeRound asks the server to resume this identity's
 	// checkpointed session from after round ResumeRound instead of starting
 	// fresh. 0 starts fresh; > 0 requires ClientID. The server refuses
 	// (error envelope) when it has no matching checkpoint.
@@ -208,22 +212,22 @@ type ImperfectHello struct {
 }
 
 // Hello announces a session: the data party publishes its listing and, when
-// the session settles securely, its Paillier public key. v2 servers also
-// name the resolved market and every market they serve.
+// the session settles securely, its Paillier public key, plus the resolved
+// market and every market the server serves.
 type Hello struct {
-	// Version is the server's protocol version (0 on legacy v1 endpoints).
+	// Version is the server's protocol version.
 	Version int
-	// Market is the resolved market name ("" on legacy v1 endpoints).
+	// Market is the resolved market name.
 	Market string
 	// Markets lists every market the server serves.
 	Markets []string
-	// Modes lists the information regimes the server serves (v3; secure
+	// Modes lists the information regimes the server serves (secure
 	// servers omit ModeImperfect, which needs cleartext settlement).
 	Modes   []string
 	Bundles []BundleInfo
 	Secure  bool
 	PubN    []byte // Paillier modulus when Secure
-	// Resumed (v4) confirms a granted resume: the round the server's
+	// Resumed confirms a granted resume: the round the server's
 	// restored state is settled through (echoing ImperfectHello.ResumeRound).
 	// 0 on fresh sessions.
 	Resumed int
@@ -296,7 +300,7 @@ type ErrorMsg struct {
 	Msg string
 }
 
-// Redirect is the v5 shard-routing payload: the answering server does not
+// Redirect is the shard-routing payload: the answering server does not
 // own Market, and Addr is where it lives per the shard map at Epoch. The
 // connection closes after it; the client redials Addr with the same hello
 // (including any resume state — which is how an in-flight imperfect
@@ -311,7 +315,7 @@ type Redirect struct {
 	Epoch uint64
 }
 
-// ServerStats is the server-totals half of the v5 stats envelope, mirroring
+// ServerStats is the server-totals half of the stats envelope, mirroring
 // the frontend's counter snapshot field for field.
 type ServerStats struct {
 	Accepted    uint64
@@ -328,7 +332,7 @@ type ServerStats struct {
 	Active      int64
 }
 
-// MarketStats is one market's slice of the v5 stats envelope: session load
+// MarketStats is one market's slice of the stats envelope: session load
 // split by regime plus the valuation-oracle counters — the per-market load
 // signal the fabric rebalancer plans transfers from.
 type MarketStats struct {
@@ -346,7 +350,7 @@ type MarketStats struct {
 	CheckpointedClients int
 }
 
-// StatsReport is the v5 admin metrics snapshot a server answers a
+// StatsReport is the admin metrics snapshot a server answers a
 // StatsOnly hello with.
 type StatsReport struct {
 	Server  ServerStats
@@ -359,9 +363,9 @@ type StatsReport struct {
 // Envelope is the single wire frame.
 type Envelope struct {
 	Kind Kind
-	// SID is the session ID on v6 multiplexed connections: every frame of a
-	// muxed session carries the ID its KindOpen allocated, and the per-conn
-	// demux on both ends routes by it. 0 on serial (one-session) conns.
+	// SID is the session ID: every frame of a session carries the ID its
+	// KindOpen allocated, and the per-conn demux on both ends routes by it.
+	// 0 marks the connection-level hello and its answer.
 	SID      uint64       `json:",omitempty"`
 	Hello    *Hello       `json:",omitempty"`
 	Quote    *Quote       `json:",omitempty"`

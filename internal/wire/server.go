@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"net"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/secure"
@@ -48,12 +46,6 @@ type DataServer struct {
 	// budget (ImperfectHello.ReplaySteps), the multiplier on the server's
 	// per-settlement estimator compute. <= 0 means DefaultMaxReplaySteps.
 	MaxReplaySteps int
-	// IOTimeout bounds every read and write on connections handled by
-	// ServeConn, so a stalled or vanished client ends the session with an
-	// ErrPeerTimeout-wrapped error instead of hanging it forever. 0 means
-	// no deadline (callers serving pre-wrapped connections through
-	// ServeCodec apply their own).
-	IOTimeout time.Duration
 	// DataCost and EpsDataC enable the Eq. 6 cost-aware acceptance (Case 3)
 	// on the server, mirroring SessionConfig.DataCost/EpsDataC in-process.
 	DataCost core.CostModel
@@ -66,7 +58,7 @@ type DataServer struct {
 	OnRound func(rec core.RoundRecord)
 	// Checkpoints, when non-nil, makes imperfect sessions durable: after
 	// every settled round the seller's frozen state is saved under the
-	// client identity of the v4 hello, and a ResumeRound hello restores it
+	// client identity of the hello, and a ResumeRound hello restores it
 	// instead of starting fresh. Sessions share the registry, so it must be
 	// safe for concurrent use. vflmarket.Server backs it with the snapshot
 	// store.
@@ -92,7 +84,7 @@ type DataServer struct {
 }
 
 // SellerCheckpoints is the durable registry imperfect sessions checkpoint
-// into, keyed by the client identity of the v4 hello. Implementations must
+// into, keyed by the client identity of the hello. Implementations must
 // be safe for concurrent use; Save takes ownership of the checkpoint.
 type SellerCheckpoints interface {
 	Save(clientID string, ck *core.SellerCheckpoint)
@@ -156,7 +148,7 @@ func (s *DataServer) ValidateImperfectHello(ih *ImperfectHello) error {
 	return nil
 }
 
-// ValidateClientID checks a v4 client identity: empty (checkpointing off)
+// ValidateClientID checks a hello's client identity: empty (checkpointing off)
 // or 1–64 bytes of [A-Za-z0-9_-]. The charset is filename-safe by
 // construction — no dots, no separators — so an identity can never escape
 // the server's checkpoint namespace.
@@ -257,9 +249,6 @@ func (s *DataServer) secureFor(pubN []byte) (*secureState, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(pubN) == 0 {
-		return cur, nil // legacy v1 path: hello and settlement share a key
-	}
 	want := new(big.Int).SetBytes(pubN)
 	if cur.recv.PublicKey().N.Cmp(want) == 0 {
 		return cur, nil
@@ -351,8 +340,8 @@ type SessionSummary struct {
 }
 
 // Hello builds the server's announcement: the public listing and, in
-// secure mode, the Paillier public key. Callers serving the v2 protocol
-// fill the Version/Market/Markets fields before sending. The listing is
+// secure mode, the Paillier public key. Handshake frontends fill the
+// Version/Market/Markets/Modes fields before sending. The listing is
 // built once per server (the catalog is immutable) and shared across
 // concurrent sessions; receivers must not mutate it. In secure mode Hello
 // blocks until an in-flight key generation lands — the only error path.
@@ -374,24 +363,10 @@ func (s *DataServer) Hello() (*Hello, error) {
 	return hello, nil
 }
 
-// ServeConn runs one legacy (v1) bargaining session over the connection
-// and returns its summary: gob framing, server-first Hello, no handshake.
-// The caller owns the connection lifecycle. When IOTimeout is set, reads
-// and writes that stall past it fail the session with an error wrapping
-// ErrPeerTimeout.
-func (s *DataServer) ServeConn(conn net.Conn) (*SessionSummary, error) {
-	hello, err := s.Hello()
-	if err != nil {
-		return nil, err
-	}
-	return s.ServeCodec(newCodec(WithIOTimeout(conn, s.IOTimeout)).c, hello)
-}
-
 // ServeCodec runs one perfect-information bargaining session over an
 // established codec: send the hello, then answer quotes until the session
-// settles or a party walks away. It is the serving core shared by
-// ServeConn and the multi-market Server frontend (which performs the
-// handshake first).
+// settles or a party walks away. The multi-market Server frontend runs it
+// on every perfect-regime stream after the handshake.
 func (s *DataServer) ServeCodec(c Codec, hello *Hello) (*SessionSummary, error) {
 	return s.serve(link{c}, hello, catalogAnswerer{s}, 1)
 }

@@ -1,10 +1,12 @@
 package wire
 
 import (
+	"context"
 	"math"
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/rng"
@@ -38,15 +40,31 @@ func buildMarket(t testing.TB, seed uint64) (*core.Catalog, core.SessionConfig, 
 	return cat, cfg, gains
 }
 
-// runSession wires a client and server over net.Pipe and returns both
-// sides' views.
-func runSession(t *testing.T, secureMode bool, seed uint64) (*core.Result, *SessionSummary) {
+// servePipe runs srv's perfect-regime session loop over an unframed gob
+// codec on one end of a net.Pipe. It returns the client's link on the
+// other end (the server's Hello is the first envelope waiting there), the
+// client's conn for the caller to close, and the channel the server's
+// session error lands on.
+func servePipe(t testing.TB, srv *DataServer) (link, net.Conn, <-chan error) {
 	t.Helper()
-	cat, cfg, gains := buildMarket(t, seed)
-	srv, err := NewDataServer(cat, cfg.EpsData, secureMode, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hello := mustHello(t, srv)
+	clientConn, serverConn := net.Pipe()
+	errCh := make(chan error, 1)
+	go func() {
+		defer serverConn.Close()
+		c, _ := NewCodec(CodecGob, serverConn, serverConn)
+		_, err := srv.ServeCodec(c, hello)
+		errCh <- err
+	}()
+	c, _ := NewCodec(CodecGob, clientConn, clientConn)
+	return link{c}, clientConn, errCh
+}
+
+// bargainPipe plays TaskClient against srv over an unframed gob codec on
+// net.Pipe and returns both sides' views.
+func bargainPipe(t *testing.T, srv *DataServer, client *TaskClient) (*core.Result, *SessionSummary, error, error) {
+	t.Helper()
+	hello := mustHello(t, srv)
 	clientConn, serverConn := net.Pipe()
 	var (
 		sum    *SessionSummary
@@ -57,12 +75,30 @@ func runSession(t *testing.T, secureMode bool, seed uint64) (*core.Result, *Sess
 	go func() {
 		defer wg.Done()
 		defer serverConn.Close()
-		sum, srvErr = srv.ServeConn(serverConn)
+		c, _ := NewCodec(CodecGob, serverConn, serverConn)
+		sum, srvErr = srv.ServeCodec(c, hello)
 	}()
-	client := &TaskClient{Session: cfg, Gains: gains}
-	res, err := client.Bargain(clientConn)
+	c, _ := NewCodec(CodecGob, clientConn, clientConn)
+	var res *core.Result
+	he, err := link{c}.recv(KindHello)
+	if err == nil {
+		res, err = client.BargainCodec(context.Background(), c, he.Hello)
+	}
 	clientConn.Close()
 	wg.Wait()
+	return res, sum, err, srvErr
+}
+
+// runSession wires a client and server over net.Pipe and returns both
+// sides' views.
+func runSession(t *testing.T, secureMode bool, seed uint64) (*core.Result, *SessionSummary) {
+	t.Helper()
+	cat, cfg, gains := buildMarket(t, seed)
+	srv, err := NewDataServer(cat, cfg.EpsData, secureMode, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, sum, err, srvErr := bargainPipe(t, srv, &TaskClient{Session: cfg, Gains: gains})
 	if err != nil {
 		t.Fatalf("client: %v", err)
 	}
@@ -131,14 +167,7 @@ func TestWireFailDataWhenBudgetTooSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientConn, serverConn := net.Pipe()
-	go func() {
-		defer serverConn.Close()
-		srv.ServeConn(serverConn) //nolint:errcheck // client sees the failure
-	}()
-	client := &TaskClient{Session: cfg, Gains: gains}
-	res, err := client.Bargain(clientConn)
-	clientConn.Close()
+	res, _, err, _ := bargainPipe(t, srv, &TaskClient{Session: cfg, Gains: gains})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,35 +176,28 @@ func TestWireFailDataWhenBudgetTooSmall(t *testing.T) {
 	}
 }
 
+// TestWireOverTCP plays a session the production way: loopback TCP, the
+// mux opening, and the session loop on one stream of the connection.
 func TestWireOverTCP(t *testing.T) {
 	cat, cfg, gains := buildMarket(t, 17)
 	srv, err := NewDataServer(cat, cfg.EpsData, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
+	hello := mustHello(t, srv)
 	done := make(chan *SessionSummary, 1)
-	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			done <- nil
-			return
-		}
-		defer conn.Close()
-		sum, _ := srv.ServeConn(conn)
+	mc, shutdown := startMuxServer(t, 5*time.Second, 0, func(st *MuxStream, _ *ClientHello) {
+		sum, _ := srv.ServeCodec(st, hello)
 		done <- sum
-	}()
-	conn, err := net.Dial("tcp", l.Addr().String())
+	})
+	defer shutdown()
+	s, h, err := mc.Open(context.Background(), ClientHello{}, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	client := &TaskClient{Session: cfg, Gains: gains}
-	res, err := client.Bargain(conn)
-	conn.Close()
+	res, err := client.BargainCodec(context.Background(), s, h)
+	s.CloseClean()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,14 +216,7 @@ func TestServerRejectsInvalidQuote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientConn, serverConn := net.Pipe()
-	errCh := make(chan error, 1)
-	go func() {
-		defer serverConn.Close()
-		_, err := srv.ServeConn(serverConn)
-		errCh <- err
-	}()
-	c := newCodec(clientConn)
+	c, clientConn, errCh := servePipe(t, srv)
 	if _, err := c.recv(KindHello); err != nil {
 		t.Fatal(err)
 	}
@@ -220,14 +235,7 @@ func TestServerRejectsWrongMessageKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientConn, serverConn := net.Pipe()
-	errCh := make(chan error, 1)
-	go func() {
-		defer serverConn.Close()
-		_, err := srv.ServeConn(serverConn)
-		errCh <- err
-	}()
-	c := newCodec(clientConn)
+	c, clientConn, errCh := servePipe(t, srv)
 	if _, err := c.recv(KindHello); err != nil {
 		t.Fatal(err)
 	}
@@ -246,14 +254,7 @@ func TestSecureSessionRequiresCiphertext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientConn, serverConn := net.Pipe()
-	errCh := make(chan error, 1)
-	go func() {
-		defer serverConn.Close()
-		_, err := srv.ServeConn(serverConn)
-		errCh <- err
-	}()
-	c := newCodec(clientConn)
+	c, clientConn, errCh := servePipe(t, srv)
 	if _, err := c.recv(KindHello); err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,8 @@ func TestClientValidatesConfig(t *testing.T) {
 	client := &TaskClient{Session: cfg, Gains: gains}
 	clientConn, _ := net.Pipe()
 	defer clientConn.Close()
-	if _, err := client.Bargain(clientConn); err == nil {
+	c, _ := NewCodec(CodecGob, clientConn, clientConn)
+	if _, err := client.BargainCodec(context.Background(), c, &Hello{}); err == nil {
 		t.Fatal("client accepted invalid config")
 	}
 }

@@ -1,12 +1,12 @@
 package vflmarket
 
-// End-to-end tests of the protocol v6 fast wire through the public API:
+// End-to-end tests of the mux wire through the public API:
 // single-dial clients whose handshake doubles as the listing probe, batch
 // bargaining multiplexed over pooled connections bit-identical to the
 // in-process engine across connection counts and codecs, round pipelining
 // (one client write per steady-state round), per-session teardown that
 // leaves sibling sessions untouched, eviction severing exactly the evicted
-// market's streams on a shared connection, the accepted-version matrix,
+// market's streams on a shared connection, the one-preamble matrix,
 // and a forced live migration mid-batch. All of it runs under -race in CI.
 
 import (
@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -117,7 +118,7 @@ func TestServiceDialSingleConnection(t *testing.T) {
 // four, under either codec.
 func TestServiceBatchOverMuxBitIdentity(t *testing.T) {
 	engines := testEngines(t)
-	_, addr, shutdown := startServer(t, engines, WithWorkers(4))
+	_, addr, shutdown := startServer(t, engines)
 	defer shutdown()
 
 	engine := engines["titanic"]
@@ -160,7 +161,7 @@ func TestServiceBatchOverMuxBitIdentity(t *testing.T) {
 // every ImperfectResult — trace, outcome, both MSE curves — bit-identical.
 func TestServiceImperfectBatchMatchesEngineLoop(t *testing.T) {
 	engines := testEngines(t)
-	_, addr, shutdown := startServer(t, engines, WithWorkers(4))
+	_, addr, shutdown := startServer(t, engines)
 	defer shutdown()
 
 	engine := engines["titanic"]
@@ -423,34 +424,62 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestServiceVersionMatrix pins the compatibility window: serial preambles
-// v2 through v6 are all answered with a Hello, while an unknown future
-// version and a mux token on a non-current version are refused at the
-// handshake.
+// TestServiceVersionMatrix pins the one protocol: the mux preamble is
+// served in both codecs, while the retired serial preambles v2 through v6
+// each get the one typed refusal — a single Error envelope in the codec
+// they named, then a close, counted as Rejected — and an unknown future
+// version, a mux token on a non-current version, and an unknown codec are
+// refused at the handshake too.
 func TestServiceVersionMatrix(t *testing.T) {
 	engines := testEngines(t)
-	_, addr, shutdown := startServer(t, engines)
+	srv, addr, shutdown := startServer(t, engines)
 	defer shutdown()
 
-	for v := 2; v <= 6; v++ {
+	for _, codec := range []string{CodecGob, CodecJSON} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(conn, "VFLM/%d json\n", v)
-		fmt.Fprintf(conn, `{"Kind":5,"Client":{"Version":%d,"Market":"titanic","ListOnly":true}}`+"\n", v)
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		var e wire.Envelope
-		if err := json.NewDecoder(conn).Decode(&e); err != nil {
-			t.Fatalf("v%d: no reply: %v", v, err)
+		mc, hello, err := wire.OpenMux(conn, codec, wire.ClientHello{Market: "titanic", ListOnly: true}, 5*time.Second)
+		if err != nil {
+			t.Fatalf("%s mux preamble: %v", codec, err)
 		}
-		if e.Kind != wire.KindHello || e.Hello == nil || e.Hello.Market != "titanic" {
-			t.Fatalf("v%d: reply = %+v, want a titanic Hello", v, e)
+		if hello.Market != "titanic" || hello.Version != wire.ProtocolVersion {
+			t.Fatalf("%s mux preamble: hello = %+v, want a v%d titanic Hello", codec, hello, wire.ProtocolVersion)
 		}
-		if e.Hello.Version != wire.ProtocolVersion {
-			t.Fatalf("v%d: server advertises version %d, want %d", v, e.Hello.Version, wire.ProtocolVersion)
+		mc.Close()
+	}
+
+	refusals := 0
+	for v := 2; v <= 6; v++ {
+		for _, codec := range []string{CodecGob, CodecJSON} {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(conn, "VFLM/%d %s\n", v, codec)
+			c, err := wire.NewCodec(codec, conn, conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Send(&wire.Envelope{Kind: wire.KindClientHello,
+				Client: &wire.ClientHello{Version: v, Market: "titanic", ListOnly: true}}); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			e, err := c.Recv()
+			if err != nil {
+				t.Fatalf("VFLM/%d %s: no reply: %v", v, codec, err)
+			}
+			if e.Kind != wire.KindError || e.Err == nil || !strings.Contains(e.Err.Msg, "VFLM/6 <codec> mux") {
+				t.Fatalf("VFLM/%d %s: reply = %+v, want the one typed refusal", v, codec, e)
+			}
+			if e, err := c.Recv(); err == nil {
+				t.Fatalf("VFLM/%d %s: a second envelope %+v followed the refusal, want a close", v, codec, e)
+			}
+			conn.Close()
+			refusals++
 		}
-		conn.Close()
 	}
 
 	for _, preamble := range []string{
@@ -471,6 +500,15 @@ func TestServiceVersionMatrix(t *testing.T) {
 			t.Fatalf("preamble %q was served a Hello, want a refusal", preamble)
 		}
 		conn.Close()
+		refusals++
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Metrics().Rejected < uint64(refusals) {
+		if time.Now().After(deadline) {
+			t.Fatalf("metrics = %+v, want >= %d rejected", srv.Metrics(), refusals)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

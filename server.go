@@ -41,9 +41,10 @@ const (
 // configured IO timeout (errors.Is).
 var ErrPeerTimeout = wire.ErrPeerTimeout
 
-// ErrServerBusy marks a connection the server's admission control turned
-// away: its session pool and backlog were saturated. Retrying after a
-// backoff is reasonable (identified imperfect clients do so themselves).
+// ErrServerBusy marks a session the server's admission control turned
+// away: its connection already carried the WithMaxSessions cap of open
+// sessions, or its market was migrating. Retrying after a backoff is
+// reasonable (identified imperfect clients do so themselves).
 var ErrServerBusy = wire.ErrServerBusy
 
 // ErrRejected marks a session the server refused with a typed error
@@ -68,7 +69,7 @@ type Route struct {
 
 // MarketDirectory tells a shard where markets it does not serve live. A
 // directory-attached server answers a hello for an unregistered market
-// with a protocol-v5 redirect to the owning shard (or a retryable busy
+// with a redirect to the owning shard (or a retryable busy
 // while the market migrates) instead of a terminal unknown-market error.
 // Implementations must be safe for concurrent use; vflmarket.Cluster backs
 // it with the fabric registry.
@@ -81,8 +82,7 @@ type MarketDirectory interface {
 
 // WithDirectory attaches the server to a market directory — the shard-map
 // half of the fabric. Helloes for markets the server does not serve are
-// answered with a redirect to the owner named by the directory (v5
-// clients; older clients get the address in an error message), or with a
+// answered with a redirect to the owner named by the directory, or with a
 // retryable busy while the directory reports the market mid-migration.
 func WithDirectory(d MarketDirectory) ServerOption {
 	return func(c *serverConfig) { c.directory = d }
@@ -160,9 +160,10 @@ type ServerMetrics struct {
 	// Rejected counts connections turned away before bargaining: malformed
 	// handshakes, unsupported versions, unknown markets.
 	Rejected uint64
-	// Busy counts connections refused by admission control: the worker pool
-	// and its backlog were saturated when they arrived. Busy refusals are
-	// not included in Rejected — they are load, not client error.
+	// Busy counts sessions refused with a retryable busy: the connection
+	// already carried its WithMaxSessions cap of open sessions, or the
+	// market was migrating. Busy refusals are not included in Rejected —
+	// they are load, not client error.
 	Busy uint64
 	// Redirected counts connections answered with a redirect to another
 	// shard (directory-attached servers only). Not included in Rejected —
@@ -176,13 +177,13 @@ type ServerMetrics struct {
 	// Dropped counts sessions that ended on a transport fault — a peer
 	// timeout, a reset, a torn connection — as classified by the wire
 	// layer. Not included in Failed: a dropped session is the network's
-	// doing, and v4 identified clients resume it; Failed is reserved for
+	// doing, and identified clients resume it; Failed is reserved for
 	// protocol violations and engine errors.
 	Dropped uint64
 	// Watchdog counts sessions the server's progress watchdog severed: the
 	// session made no envelope progress (no successful send or receive)
-	// within the watchdog budget, so its carrier was closed to free the
-	// worker. Disjoint from Dropped and Failed.
+	// within the watchdog budget, so its stream was severed to free the
+	// session slot. Disjoint from Dropped and Failed.
 	Watchdog uint64
 	// Quarantined counts corrupt snapshots the durable state quarantined at
 	// load: the damaged file was renamed aside (.corrupt) and the entry
@@ -196,7 +197,7 @@ type ServerMetrics struct {
 type ServerOption func(*serverConfig)
 
 type serverConfig struct {
-	workers        int
+	maxSessions    int
 	ioTimeout      time.Duration
 	secureBits     int
 	eagerKeys      bool
@@ -208,21 +209,28 @@ type serverConfig struct {
 	roundObs       RoundObserver
 	stateDir       string
 	state          *MarketState
-	backlog        int
 	flushEvery     time.Duration
 	directory      MarketDirectory
 	idleTimeout    time.Duration
 	watchdog       time.Duration
 }
 
-// WithWorkers bounds the session worker pool: at most n sessions bargain
-// concurrently, further connections queue in the listener backlog (the
-// same bounded-pool discipline core.RunBatch uses). <= 0 means GOMAXPROCS.
-func WithWorkers(n int) ServerOption { return func(c *serverConfig) { c.workers = n } }
+// WithMaxSessions is the server's admission control: at most n sessions
+// may be open at once on one client connection, and a session opened
+// beyond the cap is refused with a retryable busy (ErrServerBusy
+// client-side, ServerMetrics.Busy server-side) while its siblings carry
+// on. <= 0 keeps the default, GOMAXPROCS + 128.
+func WithMaxSessions(n int) ServerOption {
+	return func(c *serverConfig) {
+		if n > 0 {
+			c.maxSessions = n
+		}
+	}
+}
 
 // WithIOTimeout bounds every read and write on served connections: a
 // stalled or vanished client fails its session with an
-// ErrPeerTimeout-wrapped error instead of pinning a worker forever. The
+// ErrPeerTimeout-wrapped error instead of pinning its slot forever. The
 // default is 30 seconds; <= 0 keeps the default.
 func WithIOTimeout(d time.Duration) ServerOption {
 	return func(c *serverConfig) {
@@ -232,22 +240,22 @@ func WithIOTimeout(d time.Duration) ServerOption {
 	}
 }
 
-// WithIdleTimeout bounds how long a multiplexed (v6) connection may sit
-// with no open sessions and no traffic before the server closes it. The
-// default is 4x the IO timeout; a negative d disables the idle deadline
-// (connections linger until the client closes or the server drains).
-// Serial connections are unaffected — they carry exactly one session,
-// already bounded by the IO timeout.
+// WithIdleTimeout bounds how long a connection may go without receiving an
+// envelope before the server closes it — what reaps connections a client
+// abandoned. The default is 4x the IO timeout, so the per-session receive
+// timers of active sessions fire first; a negative d disables the idle
+// deadline (connections linger until the client closes or the server
+// drains).
 func WithIdleTimeout(d time.Duration) ServerOption {
 	return func(c *serverConfig) { c.idleTimeout = d }
 }
 
 // WithWatchdogBudget sets the server's per-session progress budget: a
 // session that moves no envelope in either direction for d is severed by
-// the watchdog (its connection or stream is closed, the session counts as
-// Watchdog, not Failed). This is the backstop above the per-read IO
-// timeout — a peer trickling one byte per interval defeats a read
-// deadline but not the watchdog. The default is 4x the IO timeout; a
+// the watchdog (its stream is severed, the session counts as Watchdog, not
+// Failed). This is the backstop above the per-session IO timeout — a peer
+// trickling bytes that never complete an envelope defeats a read deadline
+// but not the watchdog. The default is 4x the IO timeout; a
 // negative d disables the watchdog.
 func WithWatchdogBudget(d time.Duration) ServerOption {
 	return func(c *serverConfig) { c.watchdog = d }
@@ -318,19 +326,6 @@ func WithStateDir(dir string) ServerOption { return func(c *serverConfig) { c.st
 // restarts with OpenMarketState.
 func WithMarketState(ms *MarketState) ServerOption { return func(c *serverConfig) { c.state = ms } }
 
-// WithBacklog sizes the accept-side session queue: connections beyond the
-// worker pool wait in a queue of n before the server starts refusing them
-// with a KindBusy envelope (ErrServerBusy on v4 clients, who may retry
-// with backoff). 0 means no queue — a connection is refused the moment
-// every worker is busy; < 0 keeps the default (128).
-func WithBacklog(n int) ServerOption {
-	return func(c *serverConfig) {
-		if n >= 0 {
-			c.backlog = n
-		}
-	}
-}
-
 // WithStateFlushInterval sets how often Serve spills dirty durable state
 // (estimator checkpoints, valuation memos) to disk. <= 0 keeps the default
 // (1 minute). Inert without a bound state.
@@ -360,8 +355,9 @@ func WithServerObserver(obs RoundObserver) ServerOption {
 
 // Server exposes one or more named Engines — a multi-market registry — as
 // a network service speaking the wire protocol. One listener serves every
-// registered market; clients select one in their hello. Construct with
-// NewServer, add markets with Register, then run Serve.
+// registered market; clients select one in their hello, and every
+// connection multiplexes many sessions. Construct with NewServer, add
+// markets with Register, then run Serve.
 type Server struct {
 	cfg serverConfig
 
@@ -380,13 +376,20 @@ type Server struct {
 	wdMu       sync.Mutex
 	wdSessions map[*wdEntry]struct{}
 
-	// muxMu guards the registry of live v6 multiplexed connections. Mux
-	// conns serve sessions on their own goroutines, off the worker pool —
-	// the per-conn session cap is their admission control — and Serve
-	// drains them at shutdown.
+	// muxMu guards the registry of live connections Serve drains at
+	// shutdown. A connection registers as soon as its hello is read, before
+	// it answers; one that registers after the drain started (draining)
+	// drains itself. connWG tracks every accepted connection's goroutine.
 	muxMu    sync.Mutex
 	muxConns map[*wire.MuxServerConn]struct{}
-	muxWG    sync.WaitGroup
+	draining bool
+	connWG   sync.WaitGroup
+
+	// connHook, when non-nil, is called at two points of a connection's
+	// opening: "accepted" (hello read, not yet registered) and "hello"
+	// (Hello sent, so the client's Dial has returned, Serve not yet
+	// entered). Tests park it there to pin shutdown races.
+	connHook func(stage string)
 }
 
 // market is one registry entry: the wire endpoint, the engine behind it
@@ -405,39 +408,37 @@ type market struct {
 	resumed   atomic.Uint64
 	active    atomic.Int64
 
-	// connMu guards the live-session set an eviction severs. evicted
-	// flips once, under the same lock, so a handler that resolved the
-	// market just before Unregister either lands in conns (and is severed)
-	// or observes evicted and backs off with a retryable busy. An entry is
-	// a whole net.Conn for a serial session, or a single wire.MuxStream for
-	// a session multiplexed onto a shared v6 connection — closing the
+	// connMu guards the live-stream set an eviction severs. evicted flips
+	// once, under the same lock, so a handler that resolved the market just
+	// before Unregister either lands in streams (and is severed) or
+	// observes evicted and backs off with a retryable busy. Closing a
 	// stream severs exactly that session, so a migration never tears down
-	// sibling sessions of other markets riding the same conn.
+	// sibling sessions of other markets riding the same connection.
 	connMu  sync.Mutex
-	conns   map[io.Closer]struct{}
+	streams map[*wire.MuxStream]struct{}
 	evicted bool
 }
 
-// track registers a live session carrier (a conn, or one mux stream) with
-// the market so an eviction can sever it. Returns false when the market
-// has already been evicted: the caller answers with a retryable busy, and
-// the client's redial lands on the directory's redirect to the new owner.
-func (m *market) track(c io.Closer) bool {
+// track registers a live session's stream with the market so an eviction
+// can sever it. Returns false when the market has already been evicted:
+// the caller answers with a retryable busy, and the client's redial lands
+// on the directory's redirect to the new owner.
+func (m *market) track(st *wire.MuxStream) bool {
 	m.connMu.Lock()
 	defer m.connMu.Unlock()
 	if m.evicted {
 		return false
 	}
-	if m.conns == nil {
-		m.conns = make(map[io.Closer]struct{})
+	if m.streams == nil {
+		m.streams = make(map[*wire.MuxStream]struct{})
 	}
-	m.conns[c] = struct{}{}
+	m.streams[st] = struct{}{}
 	return true
 }
 
-func (m *market) untrack(c io.Closer) {
+func (m *market) untrack(st *wire.MuxStream) {
 	m.connMu.Lock()
-	delete(m.conns, c)
+	delete(m.streams, st)
 	m.connMu.Unlock()
 }
 
@@ -446,8 +447,8 @@ func (m *market) evict() {
 	m.connMu.Lock()
 	defer m.connMu.Unlock()
 	m.evicted = true
-	for c := range m.conns {
-		c.Close()
+	for st := range m.streams {
+		st.Close()
 	}
 }
 
@@ -457,38 +458,21 @@ func (m *market) isEvicted() bool {
 	return m.evicted
 }
 
-// sever closes every tracked session carrier WITHOUT marking the market
-// evicted: the chaos lever behind Server.Sever. Sessions die with
-// transport errors (counted Dropped), the market keeps serving redials.
-func (m *market) sever() {
-	m.connMu.Lock()
-	defer m.connMu.Unlock()
-	for c := range m.conns {
-		c.Close()
-	}
-}
-
-// Sever hard-closes every live connection of the server — multiplexed
-// conns and serial session carriers alike — without evicting any market
-// or stopping the listener. In-flight sessions die with transport errors
-// (Dropped, not Failed) and their identified clients resume on redial;
-// the server itself keeps serving. This is the fault-injection lever a
-// failover drill pulls to simulate a shard's network dying ahead of the
-// process.
+// Sever hard-closes every live connection of the server without evicting
+// any market or stopping the listener. In-flight sessions die with
+// transport errors (Dropped, not Failed) and their identified clients
+// resume on redial; the server itself keeps serving. This is the
+// fault-injection lever a failover drill pulls to simulate a shard's
+// network dying ahead of the process.
 func (s *Server) Sever() {
 	s.muxMu.Lock()
 	for sc := range s.muxConns {
 		sc.Close()
 	}
 	s.muxMu.Unlock()
-	s.mu.RLock()
-	for _, m := range s.markets {
-		m.sever()
-	}
-	s.mu.RUnlock()
 }
 
-// wdEntry is one session under watchdog patrol: the carrier to sever and
+// wdEntry is one session under watchdog patrol: the stream to sever and
 // the wall-clock nanos of its last envelope progress.
 type wdEntry struct {
 	closer io.Closer
@@ -572,7 +556,11 @@ func (s *Server) reapStalled(budget time.Duration) {
 // NewServer builds an empty multi-market server. Register at least one
 // market before calling Serve.
 func NewServer(opts ...ServerOption) *Server {
-	cfg := serverConfig{ioTimeout: 30 * time.Second, backlog: 128, flushEvery: time.Minute}
+	cfg := serverConfig{
+		maxSessions: runtime.GOMAXPROCS(0) + 128,
+		ioTimeout:   30 * time.Second,
+		flushEvery:  time.Minute,
+	}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -881,10 +869,10 @@ func (s *Server) Unregister(name string) error {
 	return s.FlushState()
 }
 
-// Serve accepts connections on the listener and bargains with each across
-// the bounded worker pool until ctx is cancelled, then shuts down
-// gracefully: the listener closes, queued and in-flight sessions finish
-// (each bounded by the IO timeout and session round cap), and Serve
+// Serve accepts connections on the listener, each served on its own
+// goroutine, until ctx is cancelled, then shuts down gracefully: the
+// listener closes, no connection opens another session, in-flight sessions
+// finish (each bounded by the IO timeout and session round cap), and Serve
 // returns the cancellation cause. A listener error other than shutdown is
 // returned as-is. The listener is closed by the time Serve returns.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
@@ -899,10 +887,9 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		ln.Close()
 		return fmt.Errorf("vflmarket: serve with no registered markets")
 	}
-	workers := s.cfg.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	s.muxMu.Lock()
+	s.draining = false // a retry Serve after a listener error serves afresh
+	s.muxMu.Unlock()
 
 	// Closing the listener is what breaks the accept loop on cancellation.
 	stop := context.AfterFunc(ctx, func() { ln.Close() })
@@ -932,8 +919,9 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 
 	// The watchdog reaper patrols in-flight sessions: one that moves no
 	// envelope within the budget is severed so a wedged or glacial peer
-	// cannot pin a worker past the budget. Sweeping at budget/4 bounds the
-	// overshoot; the per-read IO timeout still handles total silence.
+	// cannot pin its session slot past the budget. Sweeping at budget/4
+	// bounds the overshoot; the per-session IO timeout still handles total
+	// silence.
 	if budget := s.watchdogBudget(); budget > 0 {
 		wdCtx, wdStop := context.WithCancel(ctx)
 		defer wdStop()
@@ -947,26 +935,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 				case <-wdCtx.Done():
 					return
 				}
-			}
-		}()
-	}
-
-	// Admission control: sem counts in-flight connections (queued plus
-	// being served) against the pool size plus the backlog. A connection
-	// that finds every slot taken is refused on a side goroutine with a
-	// typed busy envelope instead of queueing unboundedly or silently
-	// stalling the accept loop. The slot count — not channel readiness —
-	// is the admission test, so an idle pool never spuriously refuses.
-	sem := make(chan struct{}, workers+s.cfg.backlog)
-	conns := make(chan net.Conn, s.cfg.backlog)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for conn := range conns {
-				s.handle(conn)
-				<-sem
 			}
 		}()
 	}
@@ -987,32 +955,23 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 			conn.Close()
 			continue
 		}
-		select {
-		case sem <- struct{}{}:
-			// A held slot bounds the queue: at most backlog connections sit
-			// in the channel when every worker is busy, so this send can
-			// only block momentarily (a worker between sessions).
-			conns <- conn
-		default:
-			s.busy.Add(1)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s.rejectBusy(conn)
-			}()
-		}
+		s.connWG.Add(1)
+		go func() {
+			defer s.connWG.Done()
+			defer conn.Close()
+			s.serveConn(conn)
+		}()
 	}
-	close(conns)
-	wg.Wait()
-	// Multiplexed connections serve sessions off the worker pool; drain
-	// them symmetrically — no new session opens, in-flight ones finish
-	// (each bounded by its per-stream IO timer), idle conns close now.
+	// Drain: no connection opens another session, in-flight ones finish
+	// (each bounded by its per-stream IO timer), idle connections close
+	// now, and one still in its handshake drains itself as it registers.
 	s.muxMu.Lock()
+	s.draining = true
 	for sc := range s.muxConns {
 		sc.Drain()
 	}
 	s.muxMu.Unlock()
-	s.muxWG.Wait()
+	s.connWG.Wait()
 	if flushDone != nil {
 		<-flushDone
 	}
@@ -1037,61 +996,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	return err
 }
 
-// rejectBusy turns away one connection whose arrival found the session
-// pool and backlog saturated: it still reads the client's handshake (so
-// the refusal lands on a framed codec), answers with the v4 busy envelope
-// — or a plain error for older clients, which have no KindBusy — and
-// closes. Runs on its own goroutine so a slow-writing client cannot stall
-// the accept loop.
-func (s *Server) rejectBusy(conn net.Conn) {
-	defer conn.Close()
-	remote := ""
-	if addr := conn.RemoteAddr(); addr != nil {
-		remote = addr.String()
-	}
-	busyErr := fmt.Errorf("vflmarket: session pool saturated; retry later")
-	codec, ch, _, err := wire.AcceptHandshakeMux(conn, s.cfg.ioTimeout)
-	if err == nil {
-		if ch.Version >= 4 {
-			wire.SendBusy(codec, "%v", busyErr)
-		} else {
-			wire.SendError(codec, "%v", busyErr)
-		}
-	}
-	if s.cfg.hook != nil {
-		s.cfg.hook(SessionEvent{Remote: remote, Err: busyErr})
-	}
-}
-
-// handle runs one connection end to end: handshake, market resolution, and
-// the bargaining session. A v6 mux handshake hands the connection to its
-// own goroutine instead — the worker slot frees immediately, and the
-// connection serves many concurrent sessions under its per-conn cap.
-func (s *Server) handle(conn net.Conn) {
-	remote := ""
-	if addr := conn.RemoteAddr(); addr != nil {
-		remote = addr.String()
-	}
-	codec, ch, mux, err := wire.AcceptHandshakeMux(conn, s.cfg.ioTimeout)
-	if err != nil {
-		conn.Close()
-		s.rejected.Add(1)
-		s.notify("", remote, nil, err)
-		return
-	}
-	if mux {
-		s.muxWG.Add(1)
-		go func() {
-			defer s.muxWG.Done()
-			defer conn.Close()
-			s.serveMux(conn, codec, ch, remote)
-		}()
-		return
-	}
-	defer conn.Close()
-	s.serveSession(codec, ch, remote, conn)
-}
-
 // notify delivers one session event to the configured hook.
 func (s *Server) notify(market, remote string, sum *SessionSummary, err error) {
 	if s.cfg.hook != nil {
@@ -1099,40 +1003,60 @@ func (s *Server) notify(market, remote string, sum *SessionSummary, err error) {
 	}
 }
 
-// muxSessionCap bounds concurrently open sessions per multiplexed
-// connection — the mux counterpart of the serial worker pool plus its
-// backlog (mux sessions run on their own goroutines, off the pool).
-func (s *Server) muxSessionCap() int {
-	w := s.cfg.workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+// registerConn adds a connection to the set Serve drains at shutdown. It
+// returns false once the drain has started: the caller closes the
+// connection instead of serving it.
+func (s *Server) registerConn(sc *wire.MuxServerConn) bool {
+	s.muxMu.Lock()
+	defer s.muxMu.Unlock()
+	if s.draining {
+		return false
 	}
-	return w + s.cfg.backlog
+	if s.muxConns == nil {
+		s.muxConns = make(map[*wire.MuxServerConn]struct{})
+	}
+	s.muxConns[sc] = struct{}{}
+	return true
 }
 
-// serveMux drives one v6 multiplexed connection: the connection-level
-// hello doubles as the listing probe (market resolution included, so a
-// wrong-door dial is redirected before any session starts), then every
-// KindOpen becomes an independent session handled exactly like a serial
-// connection's. The connection itself is never tracked by a market — only
-// its per-session streams are — so evicting a migrating market severs
-// exactly that market's sessions and leaves the connection warm for the
-// rest.
-func (s *Server) serveMux(conn net.Conn, codec wire.Codec, ch *wire.ClientHello, remote string) {
+func (s *Server) unregisterConn(sc *wire.MuxServerConn) {
+	s.muxMu.Lock()
+	delete(s.muxConns, sc)
+	s.muxMu.Unlock()
+}
+
+// serveConn drives one connection: the opening, then every KindOpen as an
+// independent session. The connection-level hello doubles as the listing
+// probe (market resolution included, so a wrong-door dial is redirected
+// before any session starts). The connection itself is never tracked by a
+// market — only its per-session streams are — so evicting a migrating
+// market severs exactly that market's sessions and leaves the connection
+// warm for the rest.
+func (s *Server) serveConn(conn net.Conn) {
+	remote := ""
+	if addr := conn.RemoteAddr(); addr != nil {
+		remote = addr.String()
+	}
 	notify := func(market string, sum *SessionSummary, err error) {
 		s.notify(market, remote, sum, err)
 	}
-	if ch.Version < 1 || ch.Version > wire.ProtocolVersion {
+	sc, ch, err := wire.AcceptMux(conn, s.cfg.ioTimeout, s.cfg.idleTimeout, s.cfg.maxSessions)
+	if err != nil {
 		s.rejected.Add(1)
-		err := fmt.Errorf("vflmarket: unsupported protocol version %d (serving <= %d)", ch.Version, wire.ProtocolVersion)
-		wire.SendError(codec, "%v", err)
 		notify("", nil, err)
 		return
 	}
-	if ch.StatsOnly {
-		_ = codec.Send(&wire.Envelope{Kind: wire.KindStats, Stats: s.statsReport()})
-		_ = wire.Flush(codec)
-		notify("", nil, nil)
+	s.hook("accepted")
+	// Register before answering: the client's Dial returns as soon as the
+	// Hello lands, and a shutdown racing it must find this connection.
+	if !s.registerConn(sc) {
+		sc.Close()
+		return
+	}
+	defer s.unregisterConn(sc)
+
+	codec := sc.Codec()
+	if s.answerAdmin(codec, ch, notify) {
 		return
 	}
 	mkt, name, markets, ok := s.resolveMarket(codec, ch, notify)
@@ -1154,97 +1078,90 @@ func (s *Server) serveMux(conn net.Conn, codec wire.Codec, ch *wire.ClientHello,
 	hello.Market = name
 	hello.Markets = markets
 	hello.Modes = modes
-
-	sc, err := wire.NewMuxServerConn(conn, codec, s.cfg.ioTimeout, s.cfg.idleTimeout, s.muxSessionCap())
-	if err != nil {
-		s.rejected.Add(1)
-		notify(name, nil, err)
-		return
-	}
 	if err := sc.SendHello(hello); err != nil {
 		s.rejected.Add(1)
 		notify(name, nil, err)
 		return
 	}
 	notify(name, nil, nil) // the probe half: a listing, like ListOnly
-
-	s.muxMu.Lock()
-	if s.muxConns == nil {
-		s.muxConns = make(map[*wire.MuxServerConn]struct{})
-	}
-	s.muxConns[sc] = struct{}{}
-	s.muxMu.Unlock()
-	defer func() {
-		s.muxMu.Lock()
-		delete(s.muxConns, sc)
-		s.muxMu.Unlock()
-	}()
+	s.hook("hello")
 
 	_ = sc.Serve(func(st *wire.MuxStream, sch *wire.ClientHello) {
-		s.serveSession(st, sch, remote, st)
+		s.serveSession(st, sch, remote)
+	}, func(err error) {
+		s.busy.Add(1)
+		notify("", nil, fmt.Errorf("%w: %v", wire.ErrServerBusy, err))
 	})
 }
 
-// serveSession runs one session end to end on an established codec — a
-// whole serial connection, or one stream of a multiplexed one. closer is
-// what a market eviction severs: the connection itself in the serial
-// case, the single stream in the mux case.
-func (s *Server) serveSession(codec wire.Codec, ch *wire.ClientHello, remote string, closer io.Closer) {
-	notify := func(market string, sum *SessionSummary, err error) {
-		s.notify(market, remote, sum, err)
+func (s *Server) hook(stage string) {
+	if s.connHook != nil {
+		s.connHook(stage)
 	}
-	if ch.Version < 1 || ch.Version > wire.ProtocolVersion {
+}
+
+// answerAdmin answers what a connection hello and a session hello share
+// ahead of market resolution: the version check, and the stats-only read
+// (the metrics snapshot, then close — no market resolution, no session, so
+// the rebalancer's periodic poll stays cheap and works even on a shard
+// with no markets). It reports whether it answered the hello.
+func (s *Server) answerAdmin(codec wire.Codec, ch *wire.ClientHello, notify func(string, *SessionSummary, error)) bool {
+	if ch.Version != wire.ProtocolVersion {
 		s.rejected.Add(1)
-		err := fmt.Errorf("vflmarket: unsupported protocol version %d (serving <= %d)", ch.Version, wire.ProtocolVersion)
+		err := fmt.Errorf("vflmarket: unsupported protocol version %d (serving %d)", ch.Version, wire.ProtocolVersion)
 		wire.SendError(codec, "%v", err)
 		notify("", nil, err)
-		return
+		return true
 	}
-
-	// Admin read: a stats-only hello gets the metrics snapshot and closes.
-	// No market resolution, no session — the rebalancer's periodic poll
-	// must stay cheap and must work even when every market is mid-move.
 	if ch.StatsOnly {
 		_ = codec.Send(&wire.Envelope{Kind: wire.KindStats, Stats: s.statsReport()})
 		_ = wire.Flush(codec)
 		notify("", nil, nil)
+		return true
+	}
+	return false
+}
+
+// serveSession runs one session of a connection end to end on its stream,
+// which is also what a market eviction or the watchdog severs.
+func (s *Server) serveSession(st *wire.MuxStream, ch *wire.ClientHello, remote string) {
+	notify := func(market string, sum *SessionSummary, err error) {
+		s.notify(market, remote, sum, err)
+	}
+	if s.answerAdmin(st, ch, notify) {
 		return
 	}
 
-	mode, modes, ok := s.resolveMode(codec, ch, notify)
+	mode, modes, ok := s.resolveMode(st, ch, notify)
 	if !ok {
 		return
 	}
-	mkt, name, markets, ok := s.resolveMarket(codec, ch, notify)
+	mkt, name, markets, ok := s.resolveMarket(st, ch, notify)
 	if !ok {
 		return
 	}
 
-	// From here the session is the market's: register its carrier with the
+	// From here the session is the market's: register its stream with the
 	// market so a migration can sever it. A market evicted between lookup
 	// and here answers busy — the redial after backoff gets the redirect.
-	if !mkt.track(closer) {
+	if !mkt.track(st) {
 		s.busy.Add(1)
 		err := fmt.Errorf("vflmarket: market %q is migrating; retry shortly", name)
-		if ch.Version >= 4 {
-			wire.SendBusy(codec, "%v", err)
-		} else {
-			wire.SendError(codec, "%v", err)
-		}
+		wire.SendBusy(st, "%v", err)
 		notify(name, nil, err)
 		return
 	}
-	defer mkt.untrack(closer)
+	defer mkt.untrack(st)
 
-	// Protocol v3 hardening: the handshake's work factors are client
-	// input, so an abusive hello (exploration rounds or replay budget over
-	// the market's caps) is refused here — with an error envelope in place
-	// of the Hello, before any session state exists — and counted as a
-	// rejection, not a failed session.
+	// The hello's work factors are client input, so an abusive hello
+	// (exploration rounds or replay budget over the market's caps) is
+	// refused here — with an error envelope in place of the Hello, before
+	// any session state exists — and counted as a rejection, not a failed
+	// session.
 	if mode == wire.ModeImperfect && !ch.ListOnly {
 		if err := mkt.ds.ValidateImperfectHello(ch.Imperfect); err != nil {
 			s.rejected.Add(1)
-			wire.SendError(codec, "%v", err)
+			wire.SendError(st, "%v", err)
 			notify(name, nil, err)
 			return
 		}
@@ -1253,7 +1170,7 @@ func (s *Server) serveSession(codec wire.Codec, ch *wire.ClientHello, remote str
 		// (its direct callers own the codec), so the frontend speaks.
 		if err := mkt.ds.CheckResume(ch.Imperfect); err != nil {
 			s.rejected.Add(1)
-			wire.SendError(codec, "%v", err)
+			wire.SendError(st, "%v", err)
 			notify(name, nil, err)
 			return
 		}
@@ -1264,7 +1181,7 @@ func (s *Server) serveSession(codec wire.Codec, ch *wire.ClientHello, remote str
 	hello, err := mkt.ds.Hello()
 	if err != nil {
 		s.rejected.Add(1)
-		wire.SendError(codec, "%v", err)
+		wire.SendError(st, "%v", err)
 		notify(name, nil, err)
 		return
 	}
@@ -1274,8 +1191,8 @@ func (s *Server) serveSession(codec wire.Codec, ch *wire.ClientHello, remote str
 	hello.Modes = modes
 
 	if ch.ListOnly {
-		_ = codec.Send(&wire.Envelope{Kind: wire.KindHello, Hello: hello})
-		_ = wire.Flush(codec)
+		_ = st.Send(&wire.Envelope{Kind: wire.KindHello, Hello: hello})
+		_ = wire.Flush(st)
 		notify(name, nil, nil)
 		return
 	}
@@ -1285,13 +1202,13 @@ func (s *Server) serveSession(codec wire.Codec, ch *wire.ClientHello, remote str
 	s.active.Add(1)
 	mkt.active.Add(1)
 	// The bargaining loop runs under watchdog patrol: the codec wrapper
-	// stamps every successful envelope, the reaper severs the carrier when
+	// stamps every successful envelope, the reaper severs the stream when
 	// the stamp goes stale past the budget.
 	var wd *wdEntry
-	sessionCodec := codec
+	var sessionCodec wire.Codec = st
 	if s.watchdogBudget() > 0 {
-		wd = s.watchdogTrack(closer)
-		sessionCodec = progressCodec{Codec: codec, wd: wd}
+		wd = s.watchdogTrack(st)
+		sessionCodec = progressCodec{Codec: st, wd: wd}
 		defer s.watchdogUntrack(wd)
 	}
 	var sum *SessionSummary
@@ -1387,23 +1304,13 @@ func (s *Server) resolveMarket(codec wire.Codec, ch *wire.ClientHello, notify fu
 			if rt.Moving || rt.Addr == "" {
 				s.busy.Add(1)
 				err := fmt.Errorf("vflmarket: market %q is migrating; retry shortly", name)
-				if ch.Version >= 4 {
-					wire.SendBusy(codec, "%v", err)
-				} else {
-					wire.SendError(codec, "%v", err)
-				}
+				wire.SendBusy(codec, "%v", err)
 				notify(name, nil, err)
 				return nil, "", nil, false
 			}
 			s.redirected.Add(1)
 			rerr := &wire.RedirectError{Market: name, Addr: rt.Addr, Epoch: rt.Epoch}
-			if ch.Version >= 5 {
-				wire.SendRedirect(codec, &wire.Redirect{Market: name, Addr: rt.Addr, Epoch: rt.Epoch})
-			} else {
-				// Pre-v5 clients cannot follow a redirect envelope; name
-				// the owner in the error so the operator can re-point them.
-				wire.SendError(codec, "vflmarket: market %q is served at %s", name, rt.Addr)
-			}
+			wire.SendRedirect(codec, &wire.Redirect{Market: name, Addr: rt.Addr, Epoch: rt.Epoch})
 			notify(name, nil, rerr)
 			return nil, "", nil, false
 		}

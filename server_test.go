@@ -15,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // testEngines builds the two synthetic market engines every service test
@@ -228,15 +230,23 @@ func TestServiceMalformedClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(conn, "VFLM/2 json\n")
-	fmt.Fprintf(conn, `{"Kind":5,"Client":{"Version":2,"Market":"titanic"}}`+"\n")
-	fmt.Fprintf(conn, `{"Kind":2}`+"\n")
-	buf := make([]byte, 4096)
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn.Read(buf); err != nil { // the Hello
+	mc, _, err := wire.OpenMux(conn, CodecJSON, wire.ClientHello{Market: "titanic", ListOnly: true}, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, hello, err := mc.Open(context.Background(), wire.ClientHello{Market: "titanic"}, 5*time.Second)
+	if err != nil { // the Hello
 		t.Fatalf("no hello: %v", err)
 	}
-	conn.Close()
+	if hello.Market != "titanic" {
+		t.Fatalf("hello market = %q", hello.Market)
+	}
+	if err := st.Send(&wire.Envelope{Kind: wire.KindQuote}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Raw garbage instead of a preamble.
 	conn2, err := net.Dial("tcp", addr)
@@ -272,6 +282,7 @@ func TestServiceMalformedClient(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	mc.Close()
 }
 
 // TestServiceUnknownMarketAndCodec verifies the fail-fast paths of Dial.
@@ -337,12 +348,95 @@ func TestServiceGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestServiceShutdownRacesHandshake pins the shutdown race of a
+// connection's opening: Serve's ctx is cancelled while the opening is
+// parked (through the server's connHook) at each end of the window — after
+// its Hello went out, so the client's Dial has returned, and before the
+// connection registered for draining at all. Either way Serve must drain
+// the connection and return promptly instead of waiting out its idle
+// timeout.
+func TestServiceShutdownRacesHandshake(t *testing.T) {
+	engines := testEngines(t)
+	for _, stage := range []string{"hello", "accepted"} {
+		t.Run(stage, func(t *testing.T) {
+			srv := NewServer(WithIdleTimeout(time.Hour))
+			if err := srv.Register("titanic", engines["titanic"]); err != nil {
+				t.Fatal(err)
+			}
+			parked, release := make(chan struct{}), make(chan struct{})
+			srv.connHook = func(at string) {
+				if at == stage {
+					close(parked)
+					<-release
+				}
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan error, 1)
+			go func() { done <- srv.Serve(ctx, ln) }()
+
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			dialed := make(chan error, 1)
+			go func() {
+				_, _, err := wire.OpenMux(conn, CodecGob, wire.ClientHello{ListOnly: true}, 5*time.Second)
+				dialed <- err
+			}()
+			select {
+			case <-parked:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the opening never reached the hook")
+			}
+			if stage == "hello" {
+				if err := <-dialed; err != nil {
+					t.Fatalf("dial in the window: %v", err)
+				}
+			}
+
+			// Cancel, and release the opening only once Serve's drain pass has
+			// run: it must either have found the connection or leave the
+			// connection to drain itself.
+			cancel()
+			for deadline := time.Now().Add(5 * time.Second); ; {
+				srv.muxMu.Lock()
+				draining := srv.draining
+				srv.muxMu.Unlock()
+				if draining {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("Serve never started draining")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			close(release)
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("server did not shut down")
+			}
+			if stage == "accepted" {
+				if err := <-dialed; err == nil {
+					t.Fatal("a connection opened during the drain was served a Hello")
+				}
+			}
+		})
+	}
+}
+
 // TestServiceBatchOverWire drives many sessions through one Client from a
 // worker pool — the Client is safe for concurrent use because every
 // Bargain dials its own connection.
 func TestServiceBatchOverWire(t *testing.T) {
 	engines := testEngines(t)
-	_, addr, shutdown := startServer(t, engines, WithWorkers(4))
+	_, addr, shutdown := startServer(t, engines)
 	defer shutdown()
 
 	engine := engines["credit"]

@@ -273,38 +273,55 @@ func TestServiceStateWarmOracleZeroTrainings(t *testing.T) {
 	}
 }
 
-// TestServiceStateBusyAdmission pins a one-worker, zero-backlog server
-// with a half-open session and checks the next connection is refused with
-// the typed busy envelope — surfaced as ErrServerBusy, counted in
-// ServerMetrics.Busy, and distinct from a protocol rejection.
+// TestServiceStateBusyAdmission saturates a one-session connection with a
+// half-open session and checks the next session opened on it is refused
+// with the typed busy envelope — surfaced as ErrServerBusy, counted in
+// ServerMetrics.Busy and the session hook, and distinct from a protocol
+// rejection.
 func TestServiceStateBusyAdmission(t *testing.T) {
 	engines := testEngines(t)
-	srv, addr, shutdown := startServer(t, engines, WithWorkers(1), WithBacklog(0))
+	busyEvents := make(chan SessionEvent, 8)
+	srv, addr, shutdown := startServer(t, engines, WithMaxSessions(1),
+		WithSessionHook(func(ev SessionEvent) {
+			if errors.Is(ev.Err, ErrServerBusy) {
+				busyEvents <- ev
+			}
+		}))
 	defer shutdown()
 
-	// Complete a handshake and then go silent: the lone worker is now
-	// parked in the session loop waiting for a quote that never comes.
+	// Open a session and then go silent: the connection's one session slot
+	// is now parked in the session loop waiting for a quote that never
+	// comes.
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if _, _, err := wire.ClientHandshake(conn, wire.CodecGob, wire.ClientHello{}); err != nil {
+	mc, _, err := wire.OpenMux(conn, wire.CodecGob, wire.ClientHello{}, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+	if _, _, err := mc.Open(context.Background(), wire.ClientHello{}, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
-	_, err = Dial(context.Background(), addr)
+	_, _, err = mc.Open(context.Background(), wire.ClientHello{}, 5*time.Second)
 	if err == nil {
-		t.Fatal("dial against a saturated pool succeeded, want busy refusal")
+		t.Fatal("open on a saturated connection succeeded, want busy refusal")
 	}
 	if !errors.Is(err, ErrServerBusy) {
-		t.Fatalf("saturated dial failed with %v, want ErrServerBusy", err)
+		t.Fatalf("saturated open failed with %v, want ErrServerBusy", err)
 	}
 	if errors.Is(err, ErrRejected) {
 		t.Fatalf("busy refusal should not read as a protocol rejection: %v", err)
 	}
 	if m := srv.Metrics(); m.Busy < 1 {
 		t.Fatalf("ServerMetrics.Busy = %d, want >= 1", m.Busy)
+	}
+	select {
+	case <-busyEvents:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the cap refusal never reached the session hook")
 	}
 }
 
