@@ -227,15 +227,10 @@ func (c *Catalog) MaxGain() (gain float64, id int) {
 	return c.gains[id], id
 }
 
-// Affordable returns the bundle ids whose reserved prices admit the quoted
-// price (the data party's filtering step).
-func (c *Catalog) Affordable(q QuotedPrice) []int {
-	return c.AffordableInto(nil, q)
-}
-
-// AffordableInto appends the affordable bundle ids to dst (reset to length
-// 0 first) and returns it — the allocation-free form of Affordable for
-// callers that filter every round, like the estimator seller.
+// AffordableInto appends the ids of the bundles whose reserved prices admit
+// the quoted price (the data party's filtering step) to dst, reset to
+// length 0 first, and returns it: callers that filter every round reuse
+// one scratch slice.
 func (c *Catalog) AffordableInto(dst []int, q QuotedPrice) []int {
 	dst = dst[:0]
 	for i, b := range c.Bundles {

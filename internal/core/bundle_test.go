@@ -104,17 +104,17 @@ func TestMaxGainIsFullBundleForMonotoneGains(t *testing.T) {
 
 func TestAffordableFilters(t *testing.T) {
 	cat := testCatalog(t, 6, 13)
-	none := cat.Affordable(QuotedPrice{Rate: 0.01, Base: 0.001, High: 1})
+	none := cat.AffordableInto(nil, QuotedPrice{Rate: 0.01, Base: 0.001, High: 1})
 	if len(none) != 0 {
 		t.Fatalf("tiny quote affords %d bundles", len(none))
 	}
-	all := cat.Affordable(QuotedPrice{Rate: 1e6, Base: 1e6, High: 2e6})
+	all := cat.AffordableInto(nil, QuotedPrice{Rate: 1e6, Base: 1e6, High: 2e6})
 	if len(all) != cat.Len() {
 		t.Fatalf("huge quote affords %d/%d", len(all), cat.Len())
 	}
 	for _, id := range all {
 		if !cat.Bundles[id].Reserved.Admits(QuotedPrice{Rate: 1e6, Base: 1e6, High: 2e6}) {
-			t.Fatal("Affordable returned inadmissible bundle")
+			t.Fatal("AffordableInto returned inadmissible bundle")
 		}
 	}
 }

@@ -93,16 +93,21 @@ func dataAcceptsUnderCost(cat *Catalog, q QuotedPrice, offeredGain float64,
 	if cost.Kind == NoCost {
 		return false // the pure Case 2/3 logic applies instead
 	}
-	target := q.TargetGain()
-	all := make([]int, cat.Len())
-	for i := range all {
-		all[i] = i
+	// Fj: the first id with the smallest gain strictly above the offer.
+	j := -1
+	for i, g := range cat.gains {
+		if g <= offeredGain {
+			continue
+		}
+		if j < 0 || g < cat.gains[j] {
+			j = i
+		}
 	}
-	j, ok := cat.ClosestAbove(all, offeredGain)
-	if !ok {
+	if j < 0 {
 		return true // no better bundle exists to hold out for
 	}
-	gainJ := cat.Gain(j)
+	target := q.TargetGain()
+	gainJ := cat.gains[j]
 	if gainJ > target {
 		gainJ = target // payment saturates at the knee
 	}

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -326,9 +326,24 @@ func (s *Session) preparePerfect() (*perfectPolicy, error) {
 	var pool []QuotedPrice
 	if cfg.TaskStrategy == TaskStrategic || cfg.TaskStrategy == TaskBisection {
 		pool = samplePricePool(cfg, cfg.PriceSamples, src.Split(0x9001))
-		sort.Slice(pool, func(i, j int) bool { return pool[i].High < pool[j].High })
+		slices.SortFunc(pool, byCeiling)
 	}
 	return &perfectPolicy{cfg: cfg, src: src, pool: pool, open: quote}, nil
+}
+
+// byCeiling orders quotes by ascending ceiling Ph for slices.SortFunc. The
+// plain comparisons are deliberate: they sort a 300-quote pool markedly
+// faster than cmp.Compare (which pays for NaN ordering) or sort.Slice
+// (which swaps through reflection). slices.SortFunc runs the same pdqsort
+// as sort.Slice did, so equal ceilings keep their order.
+func byCeiling(a, b QuotedPrice) int {
+	switch {
+	case a.High < b.High:
+		return -1
+	case a.High > b.High:
+		return 1
+	}
+	return 0
 }
 
 // play drives the unified quote → offer → realize → settle protocol of one
@@ -369,6 +384,12 @@ func (s *Session) playFrom(ctx context.Context, cfg SessionConfig, policy buyerP
 		res.Outcome = outcome
 		if n := len(res.Rounds); n > 0 {
 			res.Final = res.Rounds[n-1]
+		}
+		// Store the trace at its exact length: finished results are often
+		// kept in bulk, and append's doubling can leave half of the
+		// backing array as dead weight.
+		if n := len(res.Rounds); cap(res.Rounds) > n {
+			res.Rounds = append(make([]RoundRecord, 0, n), res.Rounds...)
 		}
 		s.notifyOutcome(*res)
 		return nil

@@ -218,6 +218,26 @@ func TestRunPerfectDeterministic(t *testing.T) {
 	}
 }
 
+// A finished trace is stored at its exact length in both regimes: results
+// are often kept in bulk, and append's spare capacity would double their
+// footprint.
+func TestFinishedTraceIsExactSize(t *testing.T) {
+	cat := testCatalog(t, 6, 33)
+	perfect, err := RunPerfect(cat, sessionFor(cat, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	imperfect, err := RunImperfect(cat, sessionFor(cat, 5), ImperfectParams{ExplorationRounds: 10, PricePool: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rounds := range [][]RoundRecord{perfect.Rounds, imperfect.Rounds} {
+		if len(rounds) < 2 || cap(rounds) != len(rounds) {
+			t.Fatalf("trace of %d rounds kept with capacity %d", len(rounds), cap(rounds))
+		}
+	}
+}
+
 func TestRunPerfectIncreasePriceBaseline(t *testing.T) {
 	cat := testCatalog(t, 6, 35)
 	cfg := sessionFor(cat, 35)

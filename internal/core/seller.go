@@ -80,43 +80,58 @@ type Seller interface {
 // in-process seller and the wire server so both endpoints answer
 // identically.
 //
+// The filters and the selection run as one scan in id order with no
+// intermediate slices; on equal gains the lowest id wins.
+//
 // round is the 1-based bargaining round (used by the cost model); pass
 // NoCostModel and 0 tolerances to disable cost-aware acceptance.
 func AnswerQuote(cat *Catalog, q QuotedPrice, u, epsData float64,
 	dataCost CostModel, round int, epsDataC float64) SellerOffer {
-	affordable := cat.Affordable(q)
-	if len(affordable) == 0 {
-		return SellerOffer{BundleID: -1, Fail: true, TargetBundleID: -1,
-			Reason: "no bundle satisfies the quoted price (Case 1)"}
-	}
 	// The strategic data party never offers a bundle whose gain sits below
 	// the Case 4 break-even — such an offer could only end the game with
 	// zero payment (the deterrence role §3.4.3 ascribes to Case 4). The
 	// guard protects against irrational quotes from untrusted peers; under
 	// the market's own validation u > p always holds.
-	if u > q.Rate {
-		breakEven := BreakEvenGain(u, q)
-		viable := affordable[:0:0]
-		for _, id := range affordable {
-			if cat.Gain(id) >= breakEven {
-				viable = append(viable, id)
-			}
-		}
-		if len(viable) == 0 {
-			return SellerOffer{BundleID: -1, Fail: true, TargetBundleID: -1,
-				Reason: "no affordable bundle clears the break-even (Case 1)"}
-		}
-		affordable = viable
+	guard := u > q.Rate
+	breakEven := 0.0
+	if guard {
+		breakEven = BreakEvenGain(u, q)
 	}
 	target := q.TargetGain()
-	id, ok := cat.ClosestBelow(affordable, target)
-	if !ok {
+	affordable := false
+	below, above := -1, -1
+	for i := range cat.Bundles {
+		if !cat.Bundles[i].Reserved.Admits(q) {
+			continue
+		}
+		affordable = true
+		g := cat.gains[i]
+		if guard && !(g >= breakEven) { // a NaN gain is never viable
+			continue
+		}
+		if g > target {
+			if above < 0 || g < cat.gains[above] {
+				above = i
+			}
+		} else if below < 0 || g > cat.gains[below] {
+			below = i
+		}
+	}
+	id := below
+	if id < 0 {
 		// Every viable gain exceeds the knee: the cheapest overshooting
 		// bundle still earns the full ceiling.
-		id, _ = cat.ClosestAbove(affordable, target)
+		id = above
+	}
+	if id < 0 {
+		reason := "no bundle satisfies the quoted price (Case 1)"
+		if affordable {
+			reason = "no affordable bundle clears the break-even (Case 1)"
+		}
+		return SellerOffer{BundleID: -1, Fail: true, TargetBundleID: -1, Reason: reason}
 	}
 	offer := SellerOffer{BundleID: id, Features: cat.Bundles[id].Features, TargetBundleID: -1}
-	gain := cat.Gain(id)
+	gain := cat.gains[id]
 	switch {
 	case target-gain <= epsData:
 		offer.Accept = true // Case 2: the offer sits at the knee
@@ -134,15 +149,18 @@ type catalogSeller struct {
 	cat *Catalog
 	cfg SessionConfig
 	src *rng.Source
+	// affordable is the DataRandomBundle filter's scratch, reused across
+	// rounds.
+	affordable []int
 }
 
 func (s *catalogSeller) Offer(round int, q QuotedPrice) (SellerOffer, error) {
 	if s.cfg.DataStrategy == DataRandomBundle {
-		affordable := s.cat.Affordable(q)
-		if len(affordable) == 0 {
+		s.affordable = s.cat.AffordableInto(s.affordable, q)
+		if len(s.affordable) == 0 {
 			return SellerOffer{BundleID: -1, Fail: true, TargetBundleID: -1}, nil
 		}
-		id := affordable[s.src.IntN(len(affordable))]
+		id := s.affordable[s.src.IntN(len(s.affordable))]
 		// The random baseline never reasons about the knee, so it never
 		// commits (no Case 2/3).
 		return SellerOffer{BundleID: id, Features: s.cat.Bundles[id].Features, TargetBundleID: -1}, nil

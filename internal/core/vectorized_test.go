@@ -6,7 +6,10 @@ package core
 // caseTwoChoice) must be bit-for-bit equal to the per-sample loops they
 // replaced: the goldens below were captured by running RunImperfect on the
 // pre-rewrite per-sample implementation, and the reference functions here
-// preserve that implementation verbatim for direct comparison.
+// preserve that implementation verbatim for direct comparison. The same
+// holds for the allocation-free perfect-information game (the typed pool
+// sort, one-pass AnswerQuote and direct Eq. 6 scan): perfect goldens
+// captured on the slice-based code, plus that code kept as references.
 
 import (
 	"crypto/sha256"
@@ -205,9 +208,7 @@ func traceDigest(res *Result) string {
 	var buf []byte
 	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	f64 := func(v float64) { u64(math.Float64bits(v)) }
-	u64(uint64(res.Outcome))
-	u64(uint64(int64(res.TargetBundleID)))
-	for _, r := range append(res.Rounds[:len(res.Rounds):len(res.Rounds)], res.Final) {
+	record := func(r RoundRecord) {
 		u64(uint64(int64(r.Round)))
 		f64(r.Price.Rate)
 		f64(r.Price.Base)
@@ -219,6 +220,12 @@ func traceDigest(res *Result) string {
 		f64(r.TaskCost)
 		f64(r.DataCost)
 	}
+	u64(uint64(res.Outcome))
+	u64(uint64(int64(res.TargetBundleID)))
+	for _, r := range res.Rounds {
+		record(r)
+	}
+	record(res.Final)
 	sum := sha256.Sum256(buf)
 	return hex.EncodeToString(sum[:])
 }
@@ -497,13 +504,19 @@ func referenceQuotes(cfg SessionConfig, src *rng.Source) []QuotedPrice {
 
 // TestAnswerQuoteMatchesReference compares the one-pass AnswerQuote with
 // the preserved slice-based policy on every golden catalog (including the
-// tie-heavy quantized one), for rational and irrational utility rates,
-// with and without cost, and checks that every branch was exercised.
+// tie-heavy quantized one, also with NaN gains), for rational and
+// irrational utility rates, with and without cost, and checks that every
+// branch was exercised.
 func TestAnswerQuoteMatchesReference(t *testing.T) {
 	branches := map[string]int{}
-	for which := 0; which < 3; which++ {
-		cat := perfectGoldenCatalog(t, which)
+	for which := 0; which < 4; which++ {
+		cat := perfectGoldenCatalog(t, min(which, 2))
 		cfg := sessionFor(cat, uint64(40+which))
+		if which == 3 {
+			// A peer-supplied gain can be NaN: it must be filtered and
+			// ranked exactly as before.
+			cat.gains[3], cat.gains[10] = math.NaN(), math.NaN()
+		}
 		for _, q := range referenceQuotes(cfg, rng.New(uint64(90+which))) {
 			// u far above the rate, barely above it (a break-even above
 			// every gain), and at or below it (no Case 4 filter at all).
@@ -544,9 +557,12 @@ func TestAnswerQuoteMatchesReference(t *testing.T) {
 // of Eq. 6 with the preserved all-ids ClosestAbove form, at every catalog
 // gain (ties included) and between them.
 func TestDataAcceptsUnderCostMatchesReference(t *testing.T) {
-	for which := 0; which < 3; which++ {
-		cat := perfectGoldenCatalog(t, which)
+	for which := 0; which < 4; which++ {
+		cat := perfectGoldenCatalog(t, min(which, 2))
 		cfg := sessionFor(cat, uint64(50+which))
+		if which == 3 {
+			cat.gains[3], cat.gains[10] = math.NaN(), math.NaN()
+		}
 		offered := append([]float64{-1, 0}, cat.gains...)
 		for _, g := range cat.gains {
 			offered = append(offered, g+1e-4, math.Nextafter(g, math.Inf(-1)))
@@ -752,7 +768,7 @@ func TestCaseTwoChoiceMatchesReference(t *testing.T) {
 			s := trainedEstimatorSeller(cat, cfg, steps)
 			compared := 0
 			for _, q := range pool {
-				affordable := cat.Affordable(q)
+				affordable := cat.AffordableInto(nil, q)
 				if len(affordable) == 0 {
 					continue
 				}
